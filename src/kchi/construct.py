@@ -16,8 +16,14 @@ opposite arcs would reuse the same inner-inner edge, so the double arcs form
 a conflict graph that is handed to the decorated cycle-matching colouring;
 its reserve/relief certificates say which arc of each conflicting pair to
 drop, reroute or share, after which every remaining corner pair takes its
-lowest free arc.  All of this is per construction step; the final immersion
-is always replayed through ``verify_immersion`` before being returned.
+lowest free arc.  All of this is per construction step.
+
+Each recursion level proves its colouring optimal exactly once, with one
+blossom matching: the top level reuses the colouring of ``chi_alpha2`` and
+every recursive call computes ``_optimal_colouring`` of its vertex set.  The
+refinement and the faithful side work on that colouring without proving it
+again.  The final immersion is replayed once, through ``verify_immersion``
+against χ, before being returned, so callers need not replay it themselves.
 """
 
 from __future__ import annotations
@@ -38,15 +44,15 @@ from .immersion import (
     PairColouring,
     _as_path,
     _edge_count,
+    _faithful_immersion,
     _grouped_by_owner,
     _optimal_colouring,
+    _refine_split,
     _take_edge,
     _with_split,
     audit_refined,
     chi_alpha2,
     corner_labels,
-    faithful_immersion,
-    refine_split,
     run_colouring_audits,
     verify_immersion,
 )
@@ -371,9 +377,9 @@ def construct_immersion(g: Multigraph) -> Immersion:
     Raises a certified counterexample dump if any internal contract breaks;
     the returned immersion always passes ``verify_immersion``.
     """
-    chi, _ = chi_alpha2(g)  # also rejects graphs with an independent triple
+    chi, col = chi_alpha2(g)  # also rejects graphs with an independent triple
     used: set[int] = set()
-    imm = _immerse(g, tuple(range(g.n)), used)
+    imm = _immerse(g, col, used)
     if len(imm.corners) != chi:
         raise CertificateError(
             "corner count differs from the chromatic number",
@@ -388,10 +394,16 @@ def construct_immersion(g: Multigraph) -> Immersion:
     return imm
 
 
-def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion:
+def _immerse_part(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion:
+    """Immerse G[verts], proving its colouring optimal once for this level."""
     if len(verts) <= 1:
         return Immersion(verts, {})
-    col = _optimal_colouring(g, verts)
+    return _immerse(g, _optimal_colouring(g, verts), used)
+
+
+def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
+    """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it."""
+    verts = col.vertices
     chi = len(col.classes)
 
     if chi == len(verts):  # complete graph: the identity immersion
@@ -409,7 +421,7 @@ def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion
 
     if not col.singletons:
         # all classes are pairs; deleting one vertex keeps the count
-        sub = _immerse(g, verts[1:], used)
+        sub = _immerse_part(g, verts[1:], used)
         if len(sub.corners) != chi:
             raise CertificateError(
                 "vertex deletion changed the chromatic number",
@@ -417,7 +429,11 @@ def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion
             )
         return sub
 
-    col = refine_split(g, col)
+    # ``col`` is optimal, and a refine swap keeps the class count, so the
+    # refined colouring needs no second proof; neither does its restriction
+    # to the singletons and attached classes below, since an optimal
+    # colouring restricted to a union of its classes is still optimal.
+    col = _refine_split(g, col)
     bad = audit_refined(g, col)
     if bad:
         raise CertificateError(
@@ -433,7 +449,7 @@ def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion
                     "detached singleton misses a vertex", dump={"singleton": u}
                 )
         stripped = tuple(w for w in verts if w not in set(col.singletons))
-        sub = _immerse(g, stripped, used)
+        sub = _immerse_part(g, stripped, used)
         if len(sub.corners) != chi - len(col.singletons):
             raise CertificateError(
                 "stripping the singletons changed the remainder's count",
@@ -448,7 +464,7 @@ def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion
 
     # general shape: immerse the detached side, the attached side, then join
     y_union = tuple(sorted(v for cls in col.detached for v in cls))
-    imm_y = _immerse(g, y_union, used)
+    imm_y = _immerse_part(g, y_union, used)
     if len(imm_y.corners) != len(col.detached):
         raise CertificateError(
             "detached side used an unexpected corner count",
@@ -456,7 +472,7 @@ def _immerse(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion
         )
 
     x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in set(col.attached)]
-    imm_x = faithful_immersion(g, _with_split(g, x_classes))
+    imm_x = _faithful_immersion(g, _with_split(g, x_classes))
     for seq in imm_x.paths.values():
         for e in seq:
             if e in used:

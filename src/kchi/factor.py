@@ -603,6 +603,39 @@ def _brute_general(g: Multigraph, table: list[int]) -> DeficiencyPair:
 # ---------------------------------------------------------------------------
 
 
+def _strict_expansion_violation(g: Multigraph, s, t) -> list[int] | None:
+    """A nonempty X ⊆ S with |N(X) ∩ T| ≤ |X|, or None if there is none.
+
+    By Hall's theorem, S expands strictly into T iff for every x ∈ S the
+    left side S plus a second copy of x still matches completely into T
+    (Lovász & Plummer, *Matching Theory*): |S| augmentations, each
+    warm-started from one matching of S.  When a copy stays unmatched, the
+    left vertices reachable from it by alternating paths form a Hall
+    violator, and their originals are the returned X.
+    """
+    s_list = sorted(s)
+    t_index = {y: j for j, y in enumerate(sorted(t))}
+    adj = [sorted({t_index[y] for y in g.neighbours(x) if y in t_index}) for x in s_list]
+    base_l, base_r = bipartite_maximum_matching(len(s_list), len(t_index), adj)
+    for i in range(len(s_list)):
+        dup = adj + [adj[i]]
+        mate_l, mate_r = bipartite_maximum_matching(
+            len(dup), len(t_index), dup, base_l + [-1], base_r
+        )
+        if -1 not in mate_l:
+            continue
+        start = mate_l.index(-1)
+        reached, stack = {start}, [start]
+        while stack:
+            for w in dup[stack.pop()]:
+                u = mate_r[w]
+                if u not in reached:  # a maximum matching leaves no w free here
+                    reached.add(u)
+                    stack.append(u)
+        return sorted({s_list[i if u == len(s_list) else u] for u in reached})
+    return None
+
+
 def check_factor_properties(
     g: Multigraph, h: FactorSubgraph, pair: DeficiencyPair
 ) -> list[str]:
@@ -698,14 +731,10 @@ def check_factor_properties(
         if cv & inside:
             bad.append(f"odd cycle {cyc} meets S ∪ T")
 
-    s_list = sorted(s)
-    if len(s_list) <= 20:
-        for x_mask in range(1, 1 << len(s_list)):
-            xs = [s_list[i] for i in range(len(s_list)) if x_mask >> i & 1]
-            nbhd = {y for x in xs for y in g.neighbours(x) if y in t}
-            if len(nbhd) <= len(xs):
-                bad.append(f"no strict expansion: X = {xs}, |N(X) ∩ T| = {len(nbhd)}")
-                break
+    xs = _strict_expansion_violation(g, s, t)
+    if xs is not None:
+        nbhd = {y for x in xs for y in g.neighbours(x) if y in t}
+        bad.append(f"no strict expansion: X = {xs}, |N(X) ∩ T| = {len(nbhd)}")
 
     delta = g.max_degree()
     for v in range(g.n):

@@ -201,9 +201,6 @@ class Multigraph:
                 emap.append(e)
         return Multigraph(len(keep), pairs), vmap, tuple(emap)
 
-    def without_vertex(self, v: int) -> tuple["Multigraph", dict[int, int], tuple[int, ...]]:
-        return self.induced(u for u in range(self.n) if u != v)
-
 
 def build(n: int, pairs: Iterable[tuple[int, int]]) -> Multigraph:
     """Construct a multigraph, validating endpoints and rejecting loops."""

@@ -9,6 +9,14 @@ the immersion constructor: a K_χ immersion whose paths never leave the two
 classes they connect, available whenever every pair class has a singleton
 attached by exactly one edge.
 
+Optimality is proved by one blossom matching of the complement.
+``chi_alpha2`` and ``_optimal_colouring`` build colourings that are optimal
+by construction.  The public ``refine_split`` and ``faithful_immersion``
+prove their input optimal (``_require_optimal``) and raise ``PremiseError``
+otherwise; the constructor calls their private cores ``_refine_split`` and
+``_faithful_immersion`` directly, on colourings derived from one it has just
+built, so nothing is proved twice.
+
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  The audit
 helpers check the structural facts the constructor relies on (shared
@@ -132,8 +140,12 @@ def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
     return col
 
 
-def _is_optimal(g: Multigraph, verts: tuple[int, ...], k: int) -> bool:
-    return k == len(verts) - matching_size(maximum_matching(len(verts), _non_adjacency(g, verts)))
+def _require_optimal(g: Multigraph, col: PairColouring, what: str) -> None:
+    """Raise ``PremiseError`` unless ``col`` is an optimal colouring of its vertices."""
+    verts = _check_colouring(g, col.classes)
+    mate = maximum_matching(len(verts), _non_adjacency(g, verts))
+    if len(col.classes) != len(verts) - matching_size(mate):
+        raise PremiseError(f"{what} needs an optimal colouring")
 
 
 def chi_alpha2(g: Multigraph) -> tuple[int, PairColouring]:
@@ -223,11 +235,15 @@ def refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
     the number of v's other attached classes meeting it in two.  A violation
     is repaired by making the corner a singleton and pairing v with the
     inner half — a proper colouring of the same size with strictly more
-    attached classes, so at most one swap per pair class occurs.
+    attached classes, so at most one swap per pair class occurs.  Raises
+    ``PremiseError`` unless ``col`` is an optimal colouring of its vertices.
     """
-    verts = _check_colouring(g, col.classes)
-    if not _is_optimal(g, verts, len(col.classes)):
-        raise PremiseError("refine_split needs an optimal colouring")
+    _require_optimal(g, col, "refine_split")
+    return _refine_split(g, col)
+
+
+def _refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
+    """``refine_split`` on a colouring already known to be optimal."""
     for _ in range(len(col.pairs) + 1):
         labels = corner_labels(g, col)
         swap = None
@@ -264,11 +280,15 @@ def faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
     Requires every pair class to be attached.  Corners are the singletons
     together with each class's corner half; paths are direct edges except
     between two corner halves that are non-adjacent, which are joined by the
-    length-3 route through the inner halves.
+    length-3 route through the inner halves.  Raises ``PremiseError`` unless
+    ``col`` is an optimal colouring of its vertices.
     """
-    verts = _check_colouring(g, col.classes)
-    if not _is_optimal(g, verts, len(col.classes)):
-        raise PremiseError("faithful immersion needs an optimal colouring")
+    _require_optimal(g, col, "faithful immersion")
+    return _faithful_immersion(g, col)
+
+
+def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
+    """``faithful_immersion`` on a colouring already known to be optimal."""
     if col.detached:
         raise PremiseError(
             f"pair class {col.detached[0]} has no singleton attached by exactly one edge"

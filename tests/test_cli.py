@@ -67,6 +67,36 @@ class TestImmerse:
         assert "non-adjacent" in doc["error"]["message"]
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """Count verify_immersion calls made through the CLI and the constructor."""
+    import kchi.cli
+    import kchi.construct
+
+    calls = []
+    real = kchi.construct.verify_immersion
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kchi.cli, "verify_immersion", counted)
+    monkeypatch.setattr(kchi.construct, "verify_immersion", counted)
+    return calls
+
+
+class TestOneReplayPerRun:
+    def test_immerse_replays_once(self, run, replays):
+        code, doc, _ = run("immerse", ("c5.txt", C5))
+        assert code == 0 and doc["verdict"]["ok"]
+        assert replays == [3]
+
+    def test_stress_replays_once_per_case(self, run, replays):
+        code, doc, _ = run("stress", "--n", "12", "--count", "15", "--seed", "2")
+        assert code == 0 and doc["verified"] == "15/15"
+        assert len(replays) == 15
+
+
 class TestVerify:
     def cert_for(self, run, text):
         _, doc, _ = run("immerse", ("g.txt", text))

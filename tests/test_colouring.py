@@ -115,6 +115,19 @@ def test_colouring_classes_are_strict_ocm_sets():
                 assert_ocm(g, ids, require_spanning=False)
 
 
+def test_colouring_where_the_all_free_decorated_engine_fails():
+    # The decorated engine with every colour free at every vertex raises
+    # "marking independence lost on every tie-break" here, so it cannot
+    # stand in for the cycle-matching colouring.
+    g = Multigraph(8, [(0, 5), (0, 7), (1, 3), (1, 3), (1, 3), (1, 3), (3, 4), (3, 4),
+                       (3, 6), (3, 6), (3, 6), (3, 6), (4, 5), (6, 7)])
+    col = cycle_matching_colouring(g)
+    assert col.palette <= g.max_degree() == 10
+    report = validate_cm_colouring(g, col)
+    assert report.ok, report.failures
+    assert not report.details["even_cycles"]
+
+
 def test_validate_flags_even_cycle_but_accepts():
     g = cycle(4)
     col = CycleMatchingColouring({e: 0 for e in range(4)}, palette=1)

@@ -99,6 +99,31 @@ class TestStress:
             g = random_alpha2(rng.randint(1, 40), rng.random(), rng)
             checked(g)
 
+    def test_one_blossom_matching_per_recursion_level(self, monkeypatch):
+        # chi_alpha2's matching serves the top level; every deeper level
+        # computes _optimal_colouring once, and nothing re-proves optimality.
+        counts = {"blossom": 0, "levels": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kchi.immersion, "maximum_matching",
+                            counted("blossom", kchi.immersion.maximum_matching))
+        monkeypatch.setattr(kchi.construct, "_optimal_colouring",
+                            counted("levels", kchi.construct._optimal_colouring))
+        rng = random.Random(7117)
+        deep = 0
+        for _ in range(60):
+            g = random_alpha2(rng.randint(1, 30), rng.random(), rng)
+            counts.update(blossom=0, levels=0)
+            construct_immersion(g)
+            assert counts["blossom"] == 1 + counts["levels"], list(g.edges)
+            deep += counts["levels"] > 0
+        assert deep >= 20
+
     def test_corner_floor(self):
         # χ ≥ n/2 whenever no three vertices are pairwise non-adjacent
         rng = random.Random(52)

@@ -7,6 +7,9 @@ import pytest
 from kchi.errors import PremiseError, SizeGuardError
 from kchi.factor import (
     DeficiencyPair,
+    FactorSubgraph,
+    TwoCycle,
+    _strict_expansion_violation,
     brute_force_deficiency,
     check_factor_properties,
     deficiency,
@@ -99,6 +102,25 @@ def test_subgraph_doubled_p3():
     assert pair.value == 2
     assert h.degree_sum() == 4
     assert check_factor_properties(g, h, pair) == []
+
+
+def test_strict_expansion_checked_beyond_twenty_s_vertices():
+    # S = 0..20 matched one-to-one to T = 21..41 by 2-cycles: every property
+    # holds except strict expansion, since |N({x}) ∩ T| = 1 for each x ∈ S.
+    k = 21
+    g = Multigraph(2 * k, [(x, k + x) for x in range(k) for _ in range(2)])
+    h = FactorSubgraph(tuple(TwoCycle(x, k + x, (2 * x, 2 * x + 1)) for x in range(k)), ())
+    pair = DeficiencyPair(frozenset(range(k)), frozenset(range(k, 2 * k)), 0)
+    problems = check_factor_properties(g, h, pair)
+    assert len(problems) == 1 and problems[0].startswith("no strict expansion: X = [")
+
+
+def test_strict_expansion_names_a_violating_set():
+    # S = {0, 1, 2}; N(0) ∩ T = {3, 4}, N(1) ∩ T = N(2) ∩ T = {5}
+    g = Multigraph(6, [(0, 3), (0, 4), (1, 5), (2, 5)])
+    assert _strict_expansion_violation(g, {0, 1, 2}, {3, 4, 5}) in ([1], [2], [1, 2])
+    assert _strict_expansion_violation(g, {0}, {3, 4, 5}) is None
+    assert _strict_expansion_violation(g, set(), {3, 4, 5}) is None
 
 
 def test_brute_examples():
