@@ -2,8 +2,9 @@
 # The command-line front end, pipe by pipe.
 #
 # Everything on stdout is JSON; logs go to stderr; exit codes are 0 for a
-# verified result, 1 for a rejected certificate, 2 for bad input.  That
-# makes the subcommands composable: gen | immerse | verify round-trips.
+# verified result, 1 for a rejected certificate, 2 for bad input, 3 for an
+# internal fault.  That makes the subcommands composable:
+# gen | immerse | verify round-trips.
 #
 # Run:  sh demos/cli_pipelines.sh   (needs `pip install -e .` first)
 set -eu

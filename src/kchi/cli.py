@@ -3,7 +3,9 @@
 All commands put one JSON document on stdout and a short human log on
 stderr.  Exit code 0 means every verification in the run passed; 1 means a
 certificate or colouring was rejected; 2 means the input or the premise was
-bad, with a machine-readable ``{"error": ...}`` document on stdout.
+bad, with a machine-readable ``{"error": ...}`` document on stdout; 3 means
+an internal fault (any other exception), reported by the same kind of
+document, with the traceback in the log.  A fault is never reported as 1.
 
 ``immerse`` and ``stress`` take their verdict from ``construct_immersion``,
 which replays every certificate it returns through ``verify_immersion``
@@ -295,6 +297,10 @@ def main(argv=None) -> int:
         _print_json(doc)
         log.error("%s", exc)
         return 2
+    except Exception as exc:  # a fault in kchi itself, not a verdict on the input
+        _print_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        log.exception("internal fault")
+        return 3
 
 
 if __name__ == "__main__":

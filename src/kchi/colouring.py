@@ -93,9 +93,9 @@ def cycle_matching_colouring(g: Multigraph, r: int = 2) -> CycleMatchingColourin
                 "colouring induction failed to terminate within Δ steps",
                 dump={"n": g.n, "edges": list(g.edges)},
             )
-        prev = max(map(solver.weighted_degree, range(g.n)), default=0)
+        prev = max(solver.deg, default=0)
         ids = _extract_ocm(g, solver, taken)
-        now = max(map(solver.weighted_degree, range(g.n)), default=0)
+        now = max(solver.deg, default=0)
         if not ids or now >= prev:
             raise CertificateError(
                 "extracted ocm set did not reduce the maximum degree",

@@ -157,25 +157,25 @@ def _colouring_attempt(
     def jitter(v: int) -> int:
         return v if salt == 0 else (v * 2654435761 + salt) % (1 << 32)
 
-    marked: set[int] = set()
+    marked = 0  # bitmask of the vertices left uncovered so far
 
     for c in range(palette):
         # Leaving a neighbour of an already-marked vertex uncovered would
         # break the marking invariant, so such vertices are covered first;
         # after that, covering high-degree vertices keeps future marks on
         # vertices that are nearly gone and cannot cause trouble later.
-        def keep_covered(v: int, near=frozenset(marked)) -> tuple[int, int, int]:
-            threatened = any(u in near for u in solver.adj[v])
-            return (0 if threatened else 1, -solver.weighted_degree(v), jitter(v))
+        def keep_covered(v: int, near=marked) -> tuple[int, int, int]:
+            return (0 if solver.nbr[v] & near else 1, -solver.deg[v], jitter(v))
 
         res = solver.solve(t_priority=keep_covered)
         for x in res.uncovered:
-            if any(u in marked for u in solver.adj[x]):
+            if solver.nbr[x] & marked:
                 raise _MarkingClash(f"step {c}: vertex {x} forced beside a mark")
         uncovered_at[c] = res.uncovered
-        marked |= res.uncovered
+        for x in res.uncovered:
+            marked |= 1 << x
         remaining_palette = palette - c
-        deg_now = [solver.weighted_degree(v) for v in range(g.n)]
+        deg_now = list(solver.deg)
 
         for u, v in res.two_cycles:
             colour_of[consume(u, v)] = c

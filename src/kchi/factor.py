@@ -16,6 +16,16 @@ a maximum matching of the bipartite double cover of the support graph gives
 a half-integral optimum, the pair ``(S, T)`` falls out of alternating
 reachability, and the structure inside ``S ∪ T`` is rebuilt by bipartite
 matching.  A 3^n brute-force oracle guards all of it at small scale.
+
+The solver (:class:`_FactorSolver`) serves the colouring inductions, which
+solve, delete the extracted pairs and solve again about Δ times.  It keeps
+each vertex's remaining degree and its neighbour bitmask up to date as
+pairs are deleted, and hands the masks straight to the iterative bitset
+matcher (``matching._augment``) warm-started from the previous matching, so
+no step re-sums degrees, rebuilds adjacency lists or recurses.  The pieces
+of the matching that make up H are read from the mate array in O(n), and
+the cover of T inside ``S ∪ T`` is one bipartite matching whose roots are
+taken in priority order.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CertificateError, PremiseError, SizeGuardError
-from .graphs import Multigraph
-from .matching import bipartite_maximum_matching
+from .graphs import Multigraph, iter_bits
+from .matching import _augment, bipartite_maximum_matching
 
 FTable = Sequence[int]
 FSpec = FTable | Mapping[int, int] | Callable[[int], int]
@@ -151,36 +161,44 @@ class _FactorSolver:
     pair u-v (the doubled host graph has twice that many parallel edges).
     The bipartite double-cover matching is kept across :meth:`solve` calls
     so that the colouring induction, which repeatedly extracts an edge set
-    and deletes it, pays only for re-augmentation.
+    and deletes it, pays only for re-augmentation.  ``deg[v]`` (the sum of
+    ``count`` over v's pairs) and ``nbr[v]`` (the bitmask of the vertices
+    sharing a pair with v) are kept current by :meth:`remove_copy` rather
+    than recomputed.
     """
 
     def __init__(self, n: int, pair_counts: Mapping[tuple[int, int], int]):
         self.n = n
         self.count: dict[tuple[int, int], int] = {}
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.nbr = [0] * n
+        self.deg = [0] * n
         for (u, v), c in pair_counts.items():
             if c <= 0:
                 continue
             key = (u, v) if u < v else (v, u)
             self.count[key] = self.count.get(key, 0) + c
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+            self.nbr[u] |= 1 << v
+            self.nbr[v] |= 1 << u
+            self.deg[u] += c
+            self.deg[v] += c
         self.mate_l = [-1] * n
         self.mate_r = [-1] * n
 
     def weighted_degree(self, v: int) -> int:
-        return sum(self.count[(v, u) if v < u else (u, v)] for u in self.adj[v])
+        return self.deg[v]
 
     def remove_copy(self, u: int, v: int) -> None:
         """Delete one doubling pair from u-v, updating the cached matching."""
         key = (u, v) if u < v else (v, u)
         left = self.count[key] - 1
+        self.deg[u] -= 1
+        self.deg[v] -= 1
         if left:
             self.count[key] = left
             return
         del self.count[key]
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        self.nbr[u] &= ~(1 << v)
+        self.nbr[v] &= ~(1 << u)
         if self.mate_l[u] == v:
             self.mate_l[u] = -1
             self.mate_r[v] = -1
@@ -200,40 +218,46 @@ class _FactorSolver:
 
     def solve(self, t_priority=None) -> _SupportFactor:
         n = self.n
-        adj_sorted = [sorted(a) for a in self.adj]
-        self.mate_l, self.mate_r = bipartite_maximum_matching(
-            n, n, adj_sorted, self.mate_l, self.mate_r
-        )
+        nbr = self.nbr
         mate_l, mate_r = self.mate_l, self.mate_r
+        _augment(nbr, mate_l, mate_r)
 
         # alternating reachability from exposed left copies; the König cover
         # of the double cover translates to (S, T) via per-vertex cover counts
-        z_l = [False] * n
-        z_r = [False] * n
+        z_l = 0
+        z_r = 0
         stack = [v for v in range(n) if mate_l[v] == -1]
         for v in stack:
-            z_l[v] = True
+            z_l |= 1 << v
         while stack:
             u = stack.pop()
-            for w in adj_sorted[u]:
-                if w != mate_l[u] and not z_r[w]:
-                    z_r[w] = True
-                    p = mate_r[w]
-                    if p == -1:
-                        raise self._fail("extract", "augmenting path past a maximum matching")
-                    if not z_l[p]:
-                        z_l[p] = True
-                        stack.append(p)
+            fresh = nbr[u] & ~z_r
+            if mate_l[u] != -1:
+                fresh &= ~(1 << mate_l[u])
+            z_r |= fresh
+            for w in iter_bits(fresh):
+                p = mate_r[w]
+                if p == -1:
+                    raise self._fail("extract", "augmenting path past a maximum matching")
+                if not z_l >> p & 1:
+                    z_l |= 1 << p
+                    stack.append(p)
 
-        s = {v for v in range(n) if not z_l[v] and z_r[v]}
-        t = {v for v in range(n) if z_l[v] and not z_r[v]}
+        s = set(iter_bits(z_r & ~z_l))
+        t = set(iter_bits(z_l & ~z_r))
 
         if s:
-            self._shrink_to_minimal(s, t, adj_sorted)
+            self._shrink_to_minimal(s, t)
 
-        return self._build_structure(s, t, adj_sorted, t_priority)
+        return self._build_structure(s, t, t_priority)
 
-    def _shrink_to_minimal(self, s: set[int], t: set[int], adj_sorted) -> None:
+    def _restricted_adj(self, rows: list[int], cols: list[int]) -> list[list[int]]:
+        """Adjacency from each of ``rows`` to the positions in ``cols``, ascending."""
+        pos = {v: i for i, v in enumerate(cols)}
+        col_mask = sum(1 << v for v in cols)
+        return [[pos[w] for w in iter_bits(self.nbr[v] & col_mask)] for v in rows]
+
+    def _shrink_to_minimal(self, s: set[int], t: set[int]) -> None:
         """Drop the maximal tight subset of S (with its T-neighbourhood).
 
         On entry (S, T) maximizes the deficiency with T independent and
@@ -242,8 +266,7 @@ class _FactorSolver:
         """
         s_list = sorted(s)
         t_list = sorted(t)
-        t_pos = {v: i for i, v in enumerate(t_list)}
-        s_adj = [[t_pos[w] for w in adj_sorted[v] if w in t] for v in s_list]
+        s_adj = self._restricted_adj(s_list, t_list)
         ml, mr = bipartite_maximum_matching(len(s_list), len(t_list), s_adj)
         if -1 in ml:
             raise self._fail("shrink", "S not matchable into T at a deficiency maximizer")
@@ -272,22 +295,27 @@ class _FactorSolver:
                 s.discard(v)
                 t.discard(t_list[ml[i]])
 
-    def _build_structure(self, s: set[int], t: set[int], adj_sorted, t_priority=None) -> _SupportFactor:
+    def _build_structure(self, s: set[int], t: set[int], t_priority=None) -> _SupportFactor:
         n = self.n
         mate_l = self.mate_l
         inside = s | t
 
+        # each pair the matching uses, once: a 2-cycle when the two copies of
+        # the pair are matched to each other, else a half edge
         two: list[tuple[int, int]] = []
-        inside_pairs: list[tuple[int, int]] = []
         half_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.count:
-            m = (mate_l[u] == v) + (mate_l[v] == u)
-            if m == 0:
+        for u, v in enumerate(mate_l):
+            if v == -1:
+                continue
+            full = mate_l[v] == u
+            if full and v < u:
                 continue
             if (u in inside) != (v in inside):
-                raise self._fail("structure", f"component crosses the S∪T boundary at {u}-{v}")
-            if m == 2:
-                (inside_pairs if u in inside else two).append((u, v))
+                a, b = (u, v) if u < v else (v, u)
+                raise self._fail("structure", f"component crosses the S∪T boundary at {a}-{b}")
+            if full:
+                if u not in inside:
+                    two.append((u, v))
             else:
                 half_adj[u].append(v)
                 half_adj[v].append(u)
@@ -343,10 +371,9 @@ class _FactorSolver:
         if s:
             s_list = sorted(s)
             t_list = sorted(t)
-            s_pos = {v: i for i, v in enumerate(s_list)}
-            t_adj = [[s_pos[w] for w in adj_sorted[v] if w in s] for v in t_list]
-            delta = max(map(self.weighted_degree, range(n)), default=0)
-            mandatory = [self.weighted_degree(v) == delta for v in t_list]
+            t_adj = self._restricted_adj(t_list, s_list)
+            delta = max(self.deg, default=0)
+            mandatory = [self.deg[v] == delta for v in t_list]
             if t_priority is None:
                 order = sorted(range(len(t_list)), key=lambda j: (not mandatory[j], j))
             else:
@@ -354,22 +381,13 @@ class _FactorSolver:
                     range(len(t_list)),
                     key=lambda j: (not mandatory[j], t_priority(t_list[j]), j),
                 )
+            # Kuhn's roots are taken in ``order``, so T is covered greedily
+            mate_o, mate_s = bipartite_maximum_matching(
+                len(t_list), len(s_list), [t_adj[j] for j in order]
+            )
             mate_t = [-1] * len(t_list)
-            mate_s = [-1] * len(s_list)
-
-            def try_cover(j: int, seen: set[int]) -> bool:
-                for i in t_adj[j]:
-                    if i in seen:
-                        continue
-                    seen.add(i)
-                    if mate_s[i] == -1 or try_cover(mate_s[i], seen):
-                        mate_s[i] = j
-                        mate_t[j] = i
-                        return True
-                return False
-
-            for j in order:
-                try_cover(j, set())
+            for k, j in enumerate(order):
+                mate_t[j] = mate_o[k]
             # a T-to-S matching has size at most |S| and an S-saturating one
             # exists, so the greedy maximum saturates S automatically
             if -1 in mate_s:

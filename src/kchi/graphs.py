@@ -8,6 +8,14 @@ from typing import Iterable, Iterator
 from .errors import GraphError
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Component:
     """One connected component of a spanning subgraph G[F]."""
@@ -128,11 +136,7 @@ class Multigraph:
         return self._pair_ids.get((u, v) if u < v else (v, u), ())
 
     def neighbours(self, v: int) -> Iterator[int]:
-        mask = self._mask[v]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter_bits(self._mask[v])
 
     def adjacency_mask(self, v: int) -> int:
         return self._mask[v]

@@ -2,6 +2,23 @@
 
 Both operate on plain adjacency lists so callers can match auxiliary graphs
 (complements, double covers) without building Multigraph instances.
+
+The bipartite matcher is Kuhn's augmenting-path search run as an explicit
+stack over neighbour bitmasks (:func:`_augment`), so its depth is bounded by
+memory, not by Python's recursion limit.  It returns exactly the matching
+of the textbook recursion that scans each sorted adjacency list in order:
+the stack takes the lowest unseen neighbour (``avail & -avail``), which is
+the next entry of that list not yet seen.  Callers that keep neighbour
+masks themselves (``factor._FactorSolver``) call :func:`_augment` directly.
+
+One seen mask serves every root until the next augmentation.  That is
+sound: a right vertex seen in a failed search is *dead*.  The failed search
+explored every unseen neighbour of each left vertex it entered, so the
+vertices it saw are closed under alternating steps and none of them is
+exposed; while the matching stays the same, a later root that reached one
+of them could only fail there.  Skipping them changes no choice the
+recursion would make, it only saves the repeated failing work.  After an
+augmentation the matching changes and the mask is cleared.
 """
 
 from __future__ import annotations
@@ -113,23 +130,53 @@ def bipartite_maximum_matching(
 ) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph (Kuhn's augmenting paths).
 
-    ``adj[u]`` lists right-side neighbours of left vertex ``u``.  Existing
-    partial matchings warm-start the search; they are not mutated.
+    ``adj[u]`` lists right-side neighbours of left vertex ``u``, which are
+    tried in ascending order.  Existing partial matchings warm-start the
+    search; they are not mutated.
     """
     mate_l = [-1] * n_left if mate_left is None else list(mate_left)
     mate_r = [-1] * n_right if mate_right is None else list(mate_right)
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                if mate_r[w] == -1 or try_augment(mate_r[w], seen):
-                    mate_l[u] = w
-                    mate_r[w] = u
-                    return True
-        return False
-
+    masks = [0] * n_left
     for u in range(n_left):
-        if mate_l[u] == -1 and adj[u]:
-            try_augment(u, [False] * n_right)
+        for w in adj[u]:
+            masks[u] |= 1 << w
+    _augment(masks, mate_l, mate_r)
     return mate_l, mate_r
+
+
+def _augment(masks: Sequence[int], mate_l: list[int], mate_r: list[int]) -> None:
+    """Augment ``mate_l``/``mate_r`` in place to a maximum matching.
+
+    ``masks[u]`` is the bitmask of right neighbours of left vertex ``u``.
+    Exposed left vertices are roots in ascending order; the search from a
+    root walks alternating paths depth first.  Its stack holds only left
+    vertices: each one below the root was reached through the right vertex
+    it is matched to, so the path is read back from ``mate_l`` when it is
+    flipped.
+    """
+    everyone = (1 << len(mate_r)) - 1
+    unseen = everyone  # right vertices not seen since the last augmentation
+    for root in range(len(masks)):
+        if mate_l[root] != -1 or not masks[root] & unseen:
+            continue
+        lefts = [root]
+        u = root
+        while True:
+            avail = masks[u] & unseen
+            if avail:
+                low = avail & -avail
+                unseen ^= low
+                w = low.bit_length() - 1
+                u = mate_r[w]
+                if u != -1:
+                    lefts.append(u)
+                    continue
+                for u in reversed(lefts):  # w is exposed: flip the path
+                    mate_r[w] = u
+                    mate_l[u], w = w, mate_l[u]
+                unseen = everyone
+                break
+            lefts.pop()
+            if not lefts:
+                break
+            u = lefts[-1]

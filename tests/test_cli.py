@@ -213,6 +213,25 @@ class TestErrorDiscipline:
         code, doc, _ = run("colour", "no-such-file.txt")
         assert code == 2 and doc["error"]["type"] == "FileNotFoundError"
 
+    def test_internal_fault_exits_3(self, run, monkeypatch):
+        import kchi.cli
+
+        def broken(args):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(kchi.cli, "_cmd_colour", broken)
+        code, doc, err = run("colour", stdin=C5)
+        assert code == 3
+        assert doc == {"error": {"type": "RuntimeError", "message": "simulated fault"}}
+        assert "Traceback" in err
+
+    def test_colours_a_long_path(self, run):
+        n = 2000
+        text = f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        code, doc, _ = run("colour", ("path.txt", text))
+        assert code == 0
+        assert doc["verdict"]["ok"] and doc["palette"] <= doc["max_degree"] == 2
+
 
 def test_module_entry_point(tmp_path):
     g = tmp_path / "c5.txt"

@@ -12,6 +12,7 @@ from kchi.colouring import (
     validate_cm_colouring,
 )
 from kchi.errors import PremiseError, SizeGuardError
+from kchi.generators import gen_family
 from kchi.graphs import Multigraph, components_of
 from helpers import complete, cycle, path, random_multigraph, star
 
@@ -192,3 +193,12 @@ def test_constructed_palette_never_beats_brute():
             continue
         col = cycle_matching_colouring(g)
         assert brute_force_chi_prime_r(g, 2) <= max(col.palette, 1) <= max(g.max_degree(), 1)
+
+
+@pytest.mark.parametrize("g", [gen_family("cycle", 5001), path(2000)], ids=["cycle5001", "path2000"])
+def test_long_cycles_and_paths_colour_without_recursion_error(g):
+    col = cycle_matching_colouring(g)
+    report = validate_cm_colouring(g, col)
+    assert report.ok, report.failures[:3]
+    assert col.palette <= g.max_degree()
+    assert report.details["even_cycles"] == []

@@ -9,6 +9,7 @@ from kchi.factor import (
     DeficiencyPair,
     FactorSubgraph,
     TwoCycle,
+    _FactorSolver,
     _strict_expansion_violation,
     brute_force_deficiency,
     check_factor_properties,
@@ -200,3 +201,20 @@ def test_empty_and_edgeless_graphs():
     g0 = Multigraph(0, [])
     h0, pair0 = max_f_bounded_subgraph(g0)
     assert pair0.value == 0 and h0.degree_sum() == 0
+
+
+def test_solver_keeps_degrees_and_neighbour_masks_current():
+    rng = random.Random(606)
+    for _ in range(40):
+        g = random_multigraph(rng.randint(2, 14), 3, rng.random(), rng)
+        solver = _FactorSolver(g.n, {(u, v): g.multiplicity(u, v) for u, v in g.support_pairs()})
+        while solver.count:
+            if rng.random() < 0.2:
+                solver.solve()
+            u, v = rng.choice(sorted(solver.count))
+            solver.remove_copy(*rng.choice([(u, v), (v, u)]))
+            for x in range(g.n):
+                fresh = sum(c for pair, c in solver.count.items() if x in pair)
+                assert solver.weighted_degree(x) == solver.deg[x] == fresh
+                assert solver.nbr[x] == sum(1 << y for pair in solver.count if x in pair for y in pair if y != x)
+        assert solver.deg == [0] * g.n and solver.nbr == [0] * g.n

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from kchi.matching import bipartite_maximum_matching, matching_size, maximum_matching
 from helpers import brute_max_matching_size, complete, cycle, path
 
@@ -110,3 +112,76 @@ def test_bipartite_warm_start():
     ml, mr = bipartite_maximum_matching(3, 3, adj, ml0, mr0)
     assert -1 not in ml
     assert ml0 == [1, -1, -1], "inputs must not be mutated"
+
+
+def recursive_kuhn(n_left, n_right, adj, mate_left=None, mate_right=None):
+    """The recursive Kuhn matcher the bitset matcher replaced, kept as a reference."""
+    mate_l = [-1] * n_left if mate_left is None else list(mate_left)
+    mate_r = [-1] * n_right if mate_right is None else list(mate_right)
+
+    def try_augment(u, seen):
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                if mate_r[w] == -1 or try_augment(mate_r[w], seen):
+                    mate_l[u] = w
+                    mate_r[w] = u
+                    return True
+        return False
+
+    for u in range(n_left):
+        if mate_l[u] == -1 and adj[u]:
+            try_augment(u, [False] * n_right)
+    return mate_l, mate_r
+
+
+def random_bipartite(rng, max_side):
+    nl, nr = rng.randint(0, max_side), rng.randint(0, max_side)
+    p = rng.random()
+    adj = [sorted(w for w in range(nr) if rng.random() < p) for _ in range(nl)]
+    return nl, nr, adj
+
+
+def test_bipartite_equals_recursive_kuhn():
+    rng = random.Random(2024)
+    for trial in range(400):
+        nl, nr, adj = random_bipartite(rng, 30)
+        ml = mr = None
+        if trial % 2:  # warm start from a maximum matching with some pairs dropped
+            ml, mr = recursive_kuhn(nl, nr, adj)
+            for u in range(nl):
+                if ml[u] != -1 and rng.random() < 0.5:
+                    mr[ml[u]] = -1
+                    ml[u] = -1
+        assert bipartite_maximum_matching(nl, nr, adj, ml, mr) == recursive_kuhn(nl, nr, adj, ml, mr)
+
+
+def test_bipartite_deep_augmenting_path():
+    # warm start 1..n-1 → 1..n-1; the only augmenting path from the exposed
+    # root 0 runs through every left vertex, far past the recursion limit
+    n = 5000
+    adj = [[1]] + [[i, i + 1] for i in range(1, n)]
+    ml0 = [-1] + list(range(1, n))
+    mr0 = [-1] + list(range(1, n)) + [-1]
+    ml, mr = bipartite_maximum_matching(n, n + 1, adj, ml0, mr0)
+    assert ml == list(range(1, n + 1))
+    assert mr == [-1] + list(range(n))
+
+
+def test_bipartite_size_equals_hopcroft_karp():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(77)
+    for _ in range(12):
+        nl, nr = rng.randint(1, 400), rng.randint(1, 400)
+        p = rng.choice([0.002, 0.01, 0.05, 0.2])
+        adj = [sorted(w for w in range(nr) if rng.random() < p) for _ in range(nl)]
+        ml, mr = bipartite_maximum_matching(nl, nr, adj)
+        graph = nx.Graph()
+        graph.add_nodes_from(("L", u) for u in range(nl))
+        graph.add_nodes_from(("R", w) for w in range(nr))
+        graph.add_edges_from((("L", u), ("R", w)) for u in range(nl) for w in adj[u])
+        hk = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=[("L", u) for u in range(nl)])
+        assert sum(w != -1 for w in ml) == len(hk) // 2
+        for u, w in enumerate(ml):
+            if w != -1:
+                assert mr[w] == u and w in adj[u]
