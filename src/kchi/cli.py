@@ -28,7 +28,7 @@ from .construct import construct_immersion
 from .errors import CertificateError, GraphError, PremiseError, SizeGuardError
 from .factor import brute_force_deficiency
 from .generators import (
-    emit_certificate,
+    _certificate_doc,
     emit_dot,
     emit_edge_list,
     gen_alpha2,
@@ -103,7 +103,7 @@ def _cmd_immerse(args) -> int:
     g = _read_graph(args.graph)
     imm = construct_immersion(g)  # replayed against χ inside, or raised
     t = len(imm.corners)
-    doc = json.loads(emit_certificate(imm))
+    doc = _certificate_doc(imm)
     doc["chi"] = t
     doc["verdict"] = _verdict(ValidityReport.from_failures([]))
     _print_json(doc)

@@ -496,7 +496,6 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
             key, ids = _as_path(g, (a, y), used)
             put(key, ids)
 
-    labels = corner_labels(g, col)
     for v in sorted(_grouped_by_owner(col)):
         d_full = build_bridge_digraph(g, col, v, y_corners)
         bad = audit_out_degree(d_full)

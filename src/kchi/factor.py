@@ -33,21 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import CertificateError, PremiseError, SizeGuardError
 from .graphs import Multigraph, iter_bits
 from .matching import _augment, bipartite_maximum_matching
 
 FTable = Sequence[int]
-FSpec = FTable | Mapping[int, int] | Callable[[int], int]
+FSpec = FTable | Callable[[int], int]
 
 
 def _as_table(f: FSpec, n: int) -> list[int]:
     if callable(f):
         return [f(v) for v in range(n)]
-    if isinstance(f, Mapping):
-        return [f[v] for v in range(n)]
     table = list(f)
     if len(table) != n:
         raise PremiseError(f"degree bound table has length {len(table)}, expected {n}")
@@ -473,7 +469,8 @@ def brute_force_deficiency(g: Multigraph, f: FSpec) -> DeficiencyPair:
     Ties are broken toward the containment-minimal pair: smallest
     |S| + |T| first, then lexicographically smallest (sorted S, sorted T).
     When all degree bounds and all edge multiplicities are even the parity
-    term q vanishes and a vectorized enumeration over S alone is exact;
+    term q vanishes and an enumeration over S alone is exact (T is then
+    every vertex outside S with a positive gain);
     otherwise all 3^n disjoint pairs are scanned.
     """
     n = g.n
@@ -497,39 +494,39 @@ def _pair_from_masks(s_mask: int, t_mask: int, value: int) -> DeficiencyPair:
 
 def _brute_even(g: Multigraph, table: list[int]) -> DeficiencyPair:
     n = g.n
-    if n == 0:
-        return DeficiencyPair(frozenset(), frozenset(), 0, minimal=True)
-    mult = np.zeros((n, n), dtype=np.int64)
+    mult = [[0] * n for _ in range(n)]
     for u, v in g.edges:
-        mult[u, v] += 1
-        mult[v, u] += 1
-    fv = np.array(table, dtype=np.int64)
-    deg = np.array(g.degrees, dtype=np.int64)
+        mult[u][v] += 1
+        mult[v][u] += 1
 
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n, n)
-    # gain of placing t in T, given S: f(t) - deg(t) + (edges from t into S)
-    gain = fv - deg + bits @ mult
-    usable = (gain > 0) & (bits == 0)
-    value = np.where(usable, gain, 0).sum(axis=1) - bits @ fv
-    best = int(value.max())
+    # gains[S][t] is the gain of placing t in T, given S:
+    # f(t) - deg(t) + (edges from t into S), built from S minus its lowest vertex
+    gains = [[f - d for f, d in zip(table, g.degrees)]]
+    f_s = [0]
+    best = None
+    tied: list[int] = []
+    for s_mask in range(1 << n):
+        if s_mask:
+            prev = s_mask & (s_mask - 1)
+            low = (s_mask ^ prev).bit_length() - 1
+            gains.append([a + b for a, b in zip(gains[prev], mult[low])])
+            f_s.append(f_s[prev] + table[low])
+        gain = gains[s_mask]
+        value = sum(x for v, x in enumerate(gain) if x > 0 and not s_mask >> v & 1)
+        value -= f_s[s_mask]
+        if best is None or value > best:
+            best = value
+            tied = []
+        if value == best:
+            tied.append(s_mask)
 
-    best_key = None
-    best_pair = None
-    for idx in np.nonzero(value == best)[0]:
-        s_mask = int(idx)
-        t_mask = 0
-        for v in range(n):
-            if usable[idx, v]:
-                t_mask |= 1 << v
-        size = s_mask.bit_count() + t_mask.bit_count()
-        pair = _pair_from_masks(s_mask, t_mask, best)
-        key = (size, sorted(pair.s), sorted(pair.t))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = pair
-    assert best_pair is not None
-    return best_pair
+    def key(s_mask: int) -> tuple[int, list[int], list[int]]:
+        s = list(iter_bits(s_mask))
+        t = [v for v, x in enumerate(gains[s_mask]) if x > 0 and not s_mask >> v & 1]
+        return len(s) + len(t), s, t
+
+    _, s, t = min(map(key, tied))
+    return DeficiencyPair(frozenset(s), frozenset(t), best, minimal=True)
 
 
 def _brute_general(g: Multigraph, table: list[int]) -> DeficiencyPair:

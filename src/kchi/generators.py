@@ -266,8 +266,8 @@ def emit_dot(g: Multigraph) -> str:
 # -- certificate JSON --------------------------------------------------------
 
 
-def emit_certificate(imm: Immersion) -> str:
-    doc: dict = {
+def _certificate_doc(imm: Immersion) -> dict:
+    doc = {
         "kind": "immersion",
         "t": len(imm.corners),
         "corners": list(imm.corners),
@@ -278,7 +278,11 @@ def emit_certificate(imm: Immersion) -> str:
     }
     if imm.faithful_to is not None:
         doc["classes"] = [list(cls) for cls in imm.faithful_to.classes]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
+def emit_certificate(imm: Immersion) -> str:
+    return json.dumps(_certificate_doc(imm), sort_keys=True, indent=2) + "\n"
 
 
 def parse_certificate(g: Multigraph, text: str) -> Immersion:

@@ -51,20 +51,11 @@ class Multigraph:
     Vertices are ``0..n-1``.  Edge identities are ``0..m-1`` in insertion
     order and are the currency of every certificate in this package:
     parallel edges are distinguishable only by identity.
-
-    ``origin`` is an optional per-edge back-reference into a parent graph
-    (used by :meth:`doubled` so that factor certificates can be translated
-    back to the original edge identities).
     """
 
-    __slots__ = ("n", "edges", "origin", "_inc", "_mask", "_deg", "_pair_ids")
+    __slots__ = ("n", "edges", "_inc", "_mask", "_deg", "_pair_ids")
 
-    def __init__(
-        self,
-        n: int,
-        pairs: Iterable[tuple[int, int]],
-        origin: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
         edges = []
@@ -76,7 +67,6 @@ class Multigraph:
             edges.append((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(edges)
-        self.origin = origin
 
         inc: list[list[int]] = [[] for _ in range(n)]
         mask = [0] * n
@@ -166,17 +156,13 @@ class Multigraph:
     def doubled(self) -> "Multigraph":
         """The multigraph with every edge duplicated.
 
-        Edge ``e`` of this graph yields edges ``2e`` and ``2e + 1``; the
-        ``origin`` attribute of the result records that mapping.
+        Edge ``e`` of this graph yields edges ``2e`` and ``2e + 1``.
         """
         pairs = []
-        origin = []
-        for e, (u, v) in enumerate(self.edges):
-            pairs.append((u, v))
-            pairs.append((u, v))
-            origin.append(e)
-            origin.append(e)
-        return Multigraph(self.n, pairs, origin=tuple(origin))
+        for uv in self.edges:
+            pairs.append(uv)
+            pairs.append(uv)
+        return Multigraph(self.n, pairs)
 
     def complement(self) -> "Multigraph":
         if not self.is_simple:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kchi
 
 from kchi.errors import PremiseError, SizeGuardError
 from kchi.factor import (
@@ -143,12 +149,25 @@ def test_brute_general_matches_even_path():
     from kchi.factor import _brute_general
 
     rng = random.Random(99)
-    for _ in range(30):
-        g = random_multigraph(rng.randint(1, 6), 1, 0.5, rng).doubled()
+    graphs = [random_multigraph(rng.randint(1, 6), 1, 0.5, rng).doubled() for _ in range(30)]
+    graphs += [random_multigraph(n, 2, 0.4, rng).doubled() for n in (7, 8, 9)]
+    for g in graphs:
         fast = brute_force_deficiency(g, F2)
         general = _brute_general(g, [2] * g.n)
         assert fast.value == general.value
         assert (fast.s, fast.t) == (general.s, general.t)
+
+
+def test_package_imports_without_numpy():
+    src = Path(kchi.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kchi, kchi.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_brute_odd_f():

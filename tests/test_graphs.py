@@ -51,7 +51,7 @@ def test_doubled_k3():
     g = complete(3).doubled()
     assert g.m == 6
     assert all(d == 4 for d in g.degrees)
-    assert g.origin == (0, 0, 1, 1, 2, 2)
+    assert g.edges == ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2))
 
 
 def test_doubled_empty_and_path():
