@@ -43,7 +43,7 @@ from .generators import (
     parse_certificate,
     parse_edge_list,
 )
-from .graphs import Multigraph, alpha_at_most_2, build, components_of
+from .graphs import Multigraph, alpha_at_most_2, components_of
 from .immersion import (
     Immersion,
     PairColouring,
@@ -75,7 +75,6 @@ __all__ = [
     "brute_force_chi_prime_r",
     "brute_force_deficiency",
     "brute_immersion_exists",
-    "build",
     "chi_alpha2",
     "check_factor_properties",
     "components_of",

@@ -29,6 +29,7 @@ against χ, before being returned, so callers need not replay it themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .decorated import (
@@ -38,12 +39,12 @@ from .decorated import (
     validate_decorated,
 )
 from .errors import CertificateError, PremiseError
-from .graphs import Multigraph, alpha_at_most_2, components_of
+from .graphs import Multigraph, alpha_at_most_2, components_of, iter_bits
 from .immersion import (
     Immersion,
     PairColouring,
     _as_path,
-    _edge_count,
+    _bits,
     _faithful_immersion,
     _grouped_by_owner,
     _optimal_colouring,
@@ -98,7 +99,15 @@ class BridgeDigraph:
     settled: tuple[frozenset[int], ...]
 
     def out_arcs(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k, a in enumerate(self.arcs) if a.tail == i)
+        return self._out_arcs[i]
+
+    @cached_property
+    def _out_arcs(self) -> tuple[tuple[int, ...], ...]:
+        """Arc indices grouped by tail, each group ascending."""
+        out: list[list[int]] = [[] for _ in self.x_nodes]
+        for k, a in enumerate(self.arcs):
+            out[a.tail].append(k)
+        return tuple(map(tuple, out))
 
 
 def build_bridge_digraph(
@@ -112,40 +121,36 @@ def build_bridge_digraph(
     y_nodes = tuple(sorted(col.detached))
     inner = tuple(cls[0] if cls[1] == labels[cls] else cls[1] for cls in x_nodes)
     corner = tuple(labels[cls] for cls in x_nodes)
-    corner_set = set(y_corners)
 
+    far_corners = _bits(y_corners)
     bridged, droppable, settled = [], [], []
     for i in range(len(x_nodes)):
-        b, d, s = set(), set(), set()
-        for y in y_corners:
-            at_corner = g.has_edge(corner[i], y)
-            at_inner = g.has_edge(inner[i], y)
-            if at_corner and at_inner:
-                s.add(y)
-            elif at_corner:
-                d.add(y)
-            elif at_inner:
-                b.add(y)
-            else:
-                raise CertificateError(
-                    "far corner sees neither half of an attached class",
-                    dump={"corner": y, "class": x_nodes[i]},
-                )
-        bridged.append(frozenset(b))
-        droppable.append(frozenset(d))
-        settled.append(frozenset(s))
+        at_corner = g.adjacency_mask(corner[i]) & far_corners
+        at_inner = g.adjacency_mask(inner[i]) & far_corners
+        missed = far_corners & ~(at_corner | at_inner)
+        if missed:
+            raise CertificateError(
+                "far corner sees neither half of an attached class",
+                dump={"corner": (missed & -missed).bit_length() - 1, "class": x_nodes[i]},
+            )
+        bridged.append(frozenset(iter_bits(at_inner & ~at_corner)))
+        droppable.append(frozenset(iter_bits(at_corner & ~at_inner)))
+        settled.append(frozenset(iter_bits(at_corner & at_inner)))
 
+    # both[i]: the vertices adjacent to both halves of attached class i
+    both = [g.adjacency_mask(a) & g.adjacency_mask(b) for a, b in x_nodes]
     arcs = []
-    for i, cls in enumerate(x_nodes):
-        for j, other in enumerate(x_nodes):
-            if j != i and _edge_count(g, corner[i], other) == 2:
+    for i in range(len(x_nodes)):
+        c = corner[i]
+        for j in range(len(x_nodes)):
+            if j != i and both[j] >> c & 1:
                 arcs.append(BridgeArc(i, ("x", j), inner[j]))
-        for k, far in enumerate(y_nodes):
-            mids = [
-                y for y in far if y not in corner_set and _edge_count(g, y, cls) == 2
-            ]
-            if mids:
-                arcs.append(BridgeArc(i, ("y", k), min(mids)))
+        mids = both[i] & ~far_corners
+        for k, (p, q) in enumerate(y_nodes):  # the lower mid first
+            if mids >> p & 1:
+                arcs.append(BridgeArc(i, ("y", k), p))
+            elif mids >> q & 1:
+                arcs.append(BridgeArc(i, ("y", k), q))
 
     return BridgeDigraph(
         owner=v,
@@ -448,7 +453,8 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
                 raise CertificateError(
                     "detached singleton misses a vertex", dump={"singleton": u}
                 )
-        stripped = tuple(w for w in verts if w not in set(col.singletons))
+        singles = set(col.singletons)
+        stripped = tuple(w for w in verts if w not in singles)
         sub = _immerse_part(g, stripped, used)
         if len(sub.corners) != chi - len(col.singletons):
             raise CertificateError(
@@ -471,7 +477,8 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
             dump={"classes": col.detached, "corners": imm_y.corners},
         )
 
-    x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in set(col.attached)]
+    attached = set(col.attached)
+    x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in attached]
     imm_x = _faithful_immersion(g, _with_split(g, x_classes))
     for seq in imm_x.paths.values():
         for e in seq:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import chain
 
 from .errors import CertificateError, GraphError
 from .graphs import Multigraph, alpha_at_most_2
@@ -281,8 +282,54 @@ def _certificate_doc(imm: Immersion) -> dict:
     return doc
 
 
+def _int_list(items, pad: str) -> str:
+    """A list of ints as ``json.dumps(..., indent=2)`` lays it out at indentation ``pad``."""
+    if not items:
+        return "[]"
+    sep = ",\n  " + pad
+    return "[" + sep[1:] + sep.join(map(int.__repr__, items)) + "\n" + pad + "]"
+
+
+_PATH = (
+    '    {\n      "edges": [\n        %s\n      ],\n'
+    '      "pair": [\n        %d,\n        %d\n      ]\n    }'
+)
+
+
 def emit_certificate(imm: Immersion) -> str:
-    return json.dumps(_certificate_doc(imm), sort_keys=True, indent=2) + "\n"
+    """The certificate as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, plus a newline.
+
+    json's indented output runs its pure-Python encoder, so the text is
+    joined here directly: keys sorted, two spaces per level, one number
+    per line.  A certificate this layout does not cover (a number that is
+    not a plain int, a pair not of two corners, an empty path) is handed to
+    json itself, so the output is the same either way.
+    """
+    paths = imm.paths
+    classes = () if imm.faithful_to is None else imm.faithful_to.classes
+    leaves = chain(
+        imm.corners,
+        chain.from_iterable(paths),
+        chain.from_iterable(paths.values()),
+        chain.from_iterable(classes),
+    )
+    if set(map(type, leaves)) - {int} or set(map(len, paths)) - {2} or not all(paths.values()):
+        return json.dumps(_certificate_doc(imm), sort_keys=True, indent=2) + "\n"
+    parts = ["{\n"]
+    if imm.faithful_to is not None:
+        listed = ",\n".join(["    " + _int_list(cls, "    ") for cls in classes])
+        parts.append('  "classes": ' + ("[\n" + listed + "\n  ]" if classes else "[]") + ",\n")
+    parts.append('  "corners": ' + _int_list(imm.corners, "  ") + ",\n")
+    parts.append('  "kind": "immersion",\n')
+    listed = ",\n".join(
+        [
+            _PATH % (",\n        ".join(map(int.__repr__, ids)), u, w)
+            for (u, w), ids in sorted(paths.items())
+        ]
+    )
+    parts.append('  "paths": ' + ("[\n" + listed + "\n  ]" if paths else "[]") + ",\n")
+    parts.append(f'  "t": {len(imm.corners)}\n}}\n')
+    return "".join(parts)
 
 
 def parse_certificate(g: Multigraph, text: str) -> Immersion:

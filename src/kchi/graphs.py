@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import eq, itemgetter
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import GraphError
+
+
+def _reject(n: int, pairs: list) -> NoReturn:
+    """Raise ``GraphError`` naming the first edge out of range or a loop."""
+    for k, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {k}: endpoint out of range in ({u}, {v})")
+        if u == v:
+            raise GraphError(f"edge {k}: loop ({u}, {v})")
+    raise AssertionError("no offending edge")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -51,36 +62,56 @@ class Multigraph:
     Vertices are ``0..n-1``.  Edge identities are ``0..m-1`` in insertion
     order and are the currency of every certificate in this package:
     parallel edges are distinguishable only by identity.
+
+    Adjacency is held as one bitmask per vertex (bit ``w`` of ``_mask[v]``
+    is set iff v and w are adjacent).  Each distinct vertex pair maps to
+    the identity of its first edge in ``_first``, in first-occurrence
+    order; only pairs carrying parallel copies also appear in ``_copies``,
+    which lists all their identities in ascending order.  Incidence lists
+    are built on the first call to :meth:`incident`.
     """
 
-    __slots__ = ("n", "edges", "_inc", "_mask", "_deg", "_pair_ids")
+    __slots__ = ("n", "edges", "_inc", "_mask", "_deg", "_first", "_copies")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        edges = []
-        for k, (u, v) in enumerate(pairs):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {k}: endpoint out of range in ({u}, {v})")
-            if u == v:
-                raise GraphError(f"edge {k}: loop ({u}, {v})")
-            edges.append((u, v) if u < v else (v, u))
+        raw = list(pairs)
+        edges = [(u, v) if u < v else (v, u) for u, v in raw]
+        if edges and (
+            min(map(itemgetter(0), edges)) < 0
+            or max(map(itemgetter(1), edges)) >= n
+            or any(map(eq, map(itemgetter(0), edges), map(itemgetter(1), edges)))
+        ):
+            _reject(n, raw)
         self.n = n
         self.edges = tuple(edges)
 
-        inc: list[list[int]] = [[] for _ in range(n)]
+        # A dict keeps the position of a key's first insertion, so this is
+        # in first-occurrence order; its values are right for single edges.
+        first = dict(zip(edges, range(len(edges))))
+        copies: dict[tuple[int, int], tuple[int, ...]] = {}
+        if len(first) < len(edges):
+            ids: dict[tuple[int, int], list[int]] = {}
+            for e, uv in enumerate(edges):
+                ids.setdefault(uv, []).append(e)
+            copies = {uv: tuple(found) for uv, found in ids.items() if len(found) > 1}
+            for uv, found in copies.items():
+                first[uv] = found[0]
+
         mask = [0] * n
-        pair_ids: dict[tuple[int, int], list[int]] = {}
-        for e, (u, v) in enumerate(self.edges):
-            inc[u].append(e)
-            inc[v].append(e)
+        for u, v in first:
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-            pair_ids.setdefault((u, v), []).append(e)
-        self._inc = tuple(map(tuple, inc))
+        deg = [row.bit_count() for row in mask]
+        for (u, v), found in copies.items():
+            deg[u] += len(found) - 1
+            deg[v] += len(found) - 1
         self._mask = tuple(mask)
-        self._deg = tuple(map(len, inc))
-        self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
+        self._deg = tuple(deg)
+        self._first = first
+        self._copies = copies
+        self._inc: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -100,7 +131,7 @@ class Multigraph:
 
     @property
     def is_simple(self) -> bool:
-        return all(len(ids) == 1 for ids in self._pair_ids.values())
+        return not self._copies
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
@@ -114,16 +145,26 @@ class Multigraph:
         raise GraphError(f"vertex {v} is not an endpoint of edge {e}")
 
     def incident(self, v: int) -> tuple[int, ...]:
+        if self._inc is None:
+            inc: list[list[int]] = [[] for _ in range(self.n)]
+            for e, (a, b) in enumerate(self.edges):
+                inc[a].append(e)
+                inc[b].append(e)
+            self._inc = tuple(map(tuple, inc))
         return self._inc[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._mask[u] >> v & 1)
 
     def multiplicity(self, u: int, v: int) -> int:
-        return len(self._pair_ids.get((u, v) if u < v else (v, u), ()))
+        return len(self.edge_ids_between(u, v))
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
-        return self._pair_ids.get((u, v) if u < v else (v, u), ())
+        uv = (u, v) if u < v else (v, u)
+        e = self._first.get(uv)
+        if e is None:
+            return ()
+        return self._copies.get(uv) or (e,)
 
     def neighbours(self, v: int) -> Iterator[int]:
         return iter_bits(self._mask[v])
@@ -132,8 +173,9 @@ class Multigraph:
         return self._mask[v]
 
     def support_pairs(self) -> Iterator[tuple[int, int]]:
-        """Distinct adjacent vertex pairs (u < v), ignoring multiplicity."""
-        return iter(self._pair_ids)
+        """Distinct adjacent vertex pairs (u < v), ignoring multiplicity,
+        in the order of their first edges."""
+        return iter(self._first)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same vertex count and edge multiset.
@@ -190,11 +232,6 @@ class Multigraph:
                 pairs.append((vmap[u], vmap[v]))
                 emap.append(e)
         return Multigraph(len(keep), pairs), vmap, tuple(emap)
-
-
-def build(n: int, pairs: Iterable[tuple[int, int]]) -> Multigraph:
-    """Construct a multigraph, validating endpoints and rejecting loops."""
-    return Multigraph(n, pairs)
 
 
 def alpha_at_most_2(g: Multigraph) -> bool:

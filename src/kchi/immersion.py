@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CertificateError, PremiseError
-from .graphs import Multigraph, alpha_at_most_2
+from .graphs import Multigraph, alpha_at_most_2, iter_bits
 from .matching import matching_size, maximum_matching
 from .reporting import ValidityReport
 
@@ -78,7 +78,15 @@ class Immersion:
 
 
 def _edge_count(g: Multigraph, v: int, cls: tuple[int, ...]) -> int:
-    return sum(1 for a in cls if g.has_edge(v, a))
+    near = g.adjacency_mask(v)
+    return sum(near >> a & 1 for a in cls)
+
+
+def _bits(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def _check_colouring(g: Multigraph, classes) -> tuple[int, ...]:
@@ -103,12 +111,19 @@ def _with_split(g: Multigraph, classes) -> PairColouring:
     norm = tuple(sorted(tuple(sorted(cls)) for cls in classes))
     singles = tuple(cls[0] for cls in norm if len(cls) == 1)
     pairs = [cls for cls in norm if len(cls) == 2]
+
+    # Classes parsed from a certificate may name vertices outside the
+    # graph; such a vertex has no edges, as ``has_edge`` would say.
+    def row(a: int) -> int:
+        return g.adjacency_mask(a) if 0 <= a < g.n else 0
+
+    single_bits = _bits(v for v in singles if 0 <= v < g.n)
     owner: dict[tuple[int, int], int] = {}
     for cls in pairs:
-        for v in singles:
-            if _edge_count(g, v, cls) == 1:
-                owner[cls] = v
-                break
+        # singletons adjacent to exactly one half of the class; the lowest owns it
+        once = (row(cls[0]) ^ row(cls[1])) & single_bits
+        if once:
+            owner[cls] = (once & -once).bit_length() - 1
     return PairColouring(
         classes=norm,
         singletons=singles,
@@ -119,14 +134,16 @@ def _with_split(g: Multigraph, classes) -> PairColouring:
 
 
 def _non_adjacency(g: Multigraph, verts: tuple[int, ...]) -> list[list[int]]:
-    """Adjacency lists of the complement of G[verts], in local indices."""
-    adj: list[list[int]] = [[] for _ in verts]
-    for i, u in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if not g.has_edge(u, verts[j]):
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+    """Adjacency lists of the complement of G[verts], in local indices.
+
+    ``verts`` is ascending, so each list comes out ascending too.
+    """
+    live = _bits(verts)
+    local = {u: i for i, u in enumerate(verts)}
+    return [
+        [local[w] for w in iter_bits(live & ~g.adjacency_mask(u) & ~(1 << u))]
+        for u in verts
+    ]
 
 
 def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
@@ -161,6 +178,15 @@ def chi_alpha2(g: Multigraph) -> tuple[int, PairColouring]:
     return len(col.classes), col
 
 
+def _named_halves(g: Multigraph, singles: int, cls: tuple[int, int]) -> set[int]:
+    """The halves of ``cls`` adjacent to some singleton (in the mask
+    ``singles``) that meets the class in exactly one edge."""
+    a, b = cls
+    row_a, row_b = g.adjacency_mask(a), g.adjacency_mask(b)
+    once = (row_a ^ row_b) & singles
+    return {x for x, row in ((a, row_a), (b, row_b)) if once & row}
+
+
 def corner_labels(g: Multigraph, col: PairColouring) -> dict[tuple[int, int], int]:
     """For each attached class, the vertex every attaching singleton leans on.
 
@@ -170,12 +196,9 @@ def corner_labels(g: Multigraph, col: PairColouring) -> dict[tuple[int, int], in
     not an optimal colouring and is reported as a broken certificate.
     """
     labels: dict[tuple[int, int], int] = {}
+    singles = _bits(col.singletons)
     for cls in col.attached:
-        named = {
-            next(a for a in cls if g.has_edge(v, a))
-            for v in col.singletons
-            if _edge_count(g, v, cls) == 1
-        }
+        named = _named_halves(g, singles, cls)
         if len(named) != 1:
             raise CertificateError(
                 "attaching singletons disagree on the corner half",
@@ -215,15 +238,17 @@ def _grouped_by_owner(col: PairColouring) -> dict[int, list[tuple[int, int]]]:
     return groups
 
 
-def _count_gap(g: Multigraph, col: PairColouring, labels, v: int, cls: tuple[int, int]) -> tuple[int, int]:
-    """LHS and RHS of the counting inequality for one attached class."""
-    c = labels[cls]
-    lhs = sum(1 for y_cls in col.detached if _edge_count(g, c, y_cls) == 1)
-    rhs = sum(
-        1
-        for other in _grouped_by_owner(col)[v]
-        if other != cls and _edge_count(g, c, other) == 2
-    )
+def _count_gap(
+    g: Multigraph, col: PairColouring, labels, group: list[tuple[int, int]], cls: tuple[int, int]
+) -> tuple[int, int]:
+    """LHS and RHS of the counting inequality for one attached class.
+
+    ``group`` lists the attached classes of ``cls``'s owner, as
+    ``_grouped_by_owner`` gives them.
+    """
+    near = g.adjacency_mask(labels[cls])
+    lhs = sum((near >> p ^ near >> q) & 1 for p, q in col.detached)
+    rhs = sum(near >> p & near >> q & 1 for p, q in group if (p, q) != cls)
     return lhs, rhs
 
 
@@ -246,10 +271,11 @@ def _refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
     """``refine_split`` on a colouring already known to be optimal."""
     for _ in range(len(col.pairs) + 1):
         labels = corner_labels(g, col)
+        groups = _grouped_by_owner(col)
         swap = None
-        for v in sorted(_grouped_by_owner(col)):
-            for cls in sorted(_grouped_by_owner(col)[v]):
-                lhs, rhs = _count_gap(g, col, labels, v, cls)
+        for v in sorted(groups):
+            for cls in sorted(groups[v]):
+                lhs, rhs = _count_gap(g, col, labels, groups[v], cls)
                 if lhs > rhs:
                     swap = (v, cls)
                     break
@@ -425,12 +451,9 @@ def verify_immersion(
 def audit_shared_attachment(g: Multigraph, col: PairColouring) -> list[str]:
     """All singletons attaching to a pair class by one edge name one vertex."""
     bad = []
+    singles = _bits(col.singletons)
     for cls in col.pairs:
-        named = {
-            next(a for a in cls if g.has_edge(v, a))
-            for v in col.singletons
-            if _edge_count(g, v, cls) == 1
-        }
+        named = _named_halves(g, singles, cls)
         if len(named) > 1:
             bad.append(f"attachers of class {cls} split between {sorted(named)}")
     return bad
@@ -496,7 +519,7 @@ def audit_refined(g: Multigraph, col: PairColouring) -> list[str]:
     bad = []
     for v, group in sorted(_grouped_by_owner(col).items()):
         for cls in sorted(group):
-            lhs, rhs = _count_gap(g, col, labels, v, cls)
+            lhs, rhs = _count_gap(g, col, labels, group, cls)
             if lhs > rhs:
                 bad.append(
                     f"class {cls} of owner {v}: {lhs} singly-met detached classes "

@@ -12,7 +12,7 @@ from kchi.decorated import (
     validate_decorated,
 )
 from kchi.errors import CertificateError, PremiseError
-from kchi.graphs import Multigraph, build
+from kchi.graphs import Multigraph
 
 from helpers import cycle, complete, random_regions, random_simple, star
 
@@ -26,7 +26,7 @@ class TestRegionPartition:
         reg = all_free(3, 2)
         assert reg.free[0] == {0, 1, 2}
         assert reg.reserve[1] == frozenset()
-        assert reg.premise_holds(build(2, [(0, 1)]))
+        assert reg.premise_holds(Multigraph(2, [(0, 1)]))
 
     def test_not_a_partition(self):
         with pytest.raises(PremiseError, match="partition"):
@@ -96,7 +96,7 @@ class TestCriticalColouring:
         # it still has plenty of slack), then covers it by degree priority
         # at step 1, so its blocked colour never catches it at full degree
         # and no repair is needed.
-        g = build(5, [(0, 1), (0, 4), (1, 4), (0, 2), (0, 2), (1, 3), (1, 3)])
+        g = Multigraph(5, [(0, 1), (0, 4), (1, 4), (0, 2), (0, 2), (1, 3), (1, 3)])
         reg = RegionPartition.from_sets(
             4,
             [{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 3}],
@@ -140,7 +140,7 @@ class TestCriticalColouring:
         assert dec.colour_of == {} and dec.uncovered_at == {}
 
     def test_deterministic(self):
-        g = build(5, [(0, 1), (0, 4), (1, 4), (0, 2), (0, 2), (1, 3), (1, 3)])
+        g = Multigraph(5, [(0, 1), (0, 4), (1, 4), (0, 2), (0, 2), (1, 3), (1, 3)])
         reg = random_regions(g, 5, random.Random(7))
         first = critical_colouring(g, 5, reg)
         second = critical_colouring(g, 5, reg)
@@ -307,7 +307,7 @@ class TestValidateDecorated:
         assert any("neither an edge nor an odd cycle" in f for f in report.failures)
 
     def test_rejects_adjacent_marks(self):
-        g = build(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         dec = DecoratedColouring({}, {}, {0: 0}, {0: frozenset({0, 1})})
         report = validate_decorated(g, all_free(1, 2), dec)
         assert not report.ok

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from kchi.errors import GraphError
 from kchi.generators import (
+    _certificate_doc,
     emit_certificate,
     emit_dot,
     emit_edge_list,
@@ -14,7 +16,13 @@ from kchi.generators import (
     parse_edge_list,
 )
 from kchi.graphs import Multigraph, alpha_at_most_2
-from kchi.immersion import chi_alpha2, faithful_immersion, refine_split, verify_immersion
+from kchi.immersion import (
+    Immersion,
+    chi_alpha2,
+    faithful_immersion,
+    refine_split,
+    verify_immersion,
+)
 
 from helpers import cocktail, complete, cycle, star
 
@@ -151,6 +159,17 @@ class TestCertificateJson:
         imm = construct_immersion(cocktail(3))
         assert emit_certificate(imm) == emit_certificate(imm)
 
+    def test_classes_outside_the_graph_parse(self):
+        """A class naming a vertex the graph lacks gives that vertex no edges."""
+        g = gen_family("faithful", (3, 1))
+        chi, col = chi_alpha2(g)
+        doc = json.loads(emit_certificate(faithful_immersion(g, refine_split(g, col))))
+        doc["classes"] += [[-1, g.n + 5], [g.n + 9]]
+        back = parse_certificate(g, json.dumps(doc))
+        assert (-1, g.n + 5) in back.faithful_to.detached
+        assert (g.n + 9,) in back.faithful_to.classes
+        assert back.faithful_to.attached == col.attached
+
     def test_bad_json_and_bad_fields(self):
         g = cycle(5)
         with pytest.raises(GraphError, match="not valid JSON"):
@@ -159,3 +178,60 @@ class TestCertificateJson:
             parse_certificate(g, '{"kind": "tour"}')
         with pytest.raises(GraphError, match="malformed certificate"):
             parse_certificate(g, '{"kind": "immersion", "corners": [0]}')
+
+
+def _json_text(imm):
+    return json.dumps(_certificate_doc(imm), sort_keys=True, indent=2) + "\n"
+
+
+class TestCertificateWriter:
+    """``emit_certificate`` writes exactly what json's indented encoder writes."""
+
+    def _same_and_round_trips(self, g, imm):
+        text = emit_certificate(imm)
+        assert text == _json_text(imm)
+        back = parse_certificate(g, text)
+        assert back.corners == imm.corners and back.paths == imm.paths
+        if imm.faithful_to is None:
+            assert back.faithful_to is None
+        else:
+            assert back.faithful_to.classes == imm.faithful_to.classes
+        return back
+
+    def test_certificate_without_paths(self):
+        from kchi.construct import construct_immersion
+
+        g = complete(1)
+        imm = construct_immersion(g)
+        assert imm.paths == {}
+        self._same_and_round_trips(g, imm)
+        assert '"paths": []' in emit_certificate(imm)
+
+    def test_faithful_certificate_with_classes(self):
+        g = gen_family("faithful", (4, 2))
+        chi, col = chi_alpha2(g)
+        imm = faithful_immersion(g, refine_split(g, col))
+        assert '"classes": [' in emit_certificate(imm)
+        back = self._same_and_round_trips(g, imm)
+        assert verify_immersion(g, back, chi).ok
+
+    def test_seeded_alpha2_certificates(self):
+        from kchi.construct import construct_immersion
+
+        rng = random.Random(4242)
+        for i in range(50):
+            g = gen_alpha2(1 + i % 45, rng.random(), rng.randrange(2**32))
+            self._same_and_round_trips(g, construct_immersion(g))
+
+    @pytest.mark.parametrize(
+        "imm",
+        [
+            Immersion((0, 1), {(0, 1): ()}),  # an empty path
+            Immersion((0, 1), {(0, 1): (True,)}),  # json writes true, not 1
+            Immersion((0, 1.0), {(0, 1.0): (0,)}),  # a float corner
+            Immersion((0, 1, 2), {(0, 1, 2): (0,)}),  # a pair of three
+            Immersion((), {}),
+        ],
+    )
+    def test_shapes_outside_the_layout_match_json(self, imm):
+        assert emit_certificate(imm) == _json_text(imm)

@@ -5,19 +5,19 @@ import random
 import pytest
 
 from kchi.errors import GraphError
-from kchi.graphs import Multigraph, alpha_at_most_2, build, components_of
+from kchi.graphs import Multigraph, alpha_at_most_2, components_of
 from helpers import cocktail, complete, cycle, path, random_simple
 
 
 def test_build_triangle():
-    g = build(3, [(0, 1), (1, 2), (0, 2)])
+    g = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.n == 3 and g.m == 3
     assert g.degrees == (2, 2, 2)
     assert g.is_simple
 
 
 def test_build_parallel_edges():
-    g = build(2, [(0, 1), (0, 1)])
+    g = Multigraph(2, [(0, 1), (0, 1)])
     assert g.degree(0) == 2
     assert g.multiplicity(0, 1) == 2
     assert g.edge_ids_between(1, 0) == (0, 1)
@@ -26,16 +26,89 @@ def test_build_parallel_edges():
 
 def test_build_rejects_loop():
     with pytest.raises(GraphError, match="loop"):
-        build(4, [(0, 0)])
+        Multigraph(4, [(0, 0)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(GraphError, match="range"):
-        build(3, [(0, 3)])
+        Multigraph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1), (5, 2), (1, 1)], "edge 1: endpoint out of range in (5, 2)"),
+        ([(0, 1), (2, -1)], "edge 1: endpoint out of range in (2, -1)"),
+        ([(1, 0), (2, 2), (7, 0)], "edge 1: loop (2, 2)"),
+        ([(0, 1), (3, 3), (2, 1), (0, 3), (4, 1)], "edge 1: loop (3, 3)"),
+    ],
+)
+def test_bad_edges_are_named_in_raw_order(pairs, message):
+    """The first offending edge is named, its endpoints as given."""
+    with pytest.raises(GraphError) as err:
+        Multigraph(4, pairs)
+    assert str(err.value) == message
+
+
+def test_bad_edges_from_an_iterator_are_named():
+    with pytest.raises(GraphError) as err:
+        Multigraph(3, iter([(0, 1), (2, 0), (4, 1)]))
+    assert str(err.value) == "edge 2: endpoint out of range in (4, 1)"
+
+
+def test_interleaved_parallel_copies():
+    g = Multigraph(3, [(0, 1), (1, 2), (1, 0), (2, 1), (0, 1)])
+    assert g.edges == ((0, 1), (1, 2), (0, 1), (1, 2), (0, 1))
+    assert g.edge_ids_between(0, 1) == g.edge_ids_between(1, 0) == (0, 2, 4)
+    assert g.edge_ids_between(2, 1) == (1, 3)
+    assert g.edge_ids_between(0, 2) == ()
+    assert [g.multiplicity(0, 1), g.multiplicity(1, 2), g.multiplicity(2, 0)] == [3, 2, 0]
+    assert g.degrees == (3, 5, 2)
+    assert not g.is_simple
+    assert list(g.support_pairs()) == [(0, 1), (1, 2)]
+    assert [g.incident(v) for v in range(3)] == [(0, 2, 4), (0, 1, 2, 3, 4), (1, 3)]
+
+    d = g.doubled()
+    assert d.edge_ids_between(0, 1) == (0, 1, 4, 5, 8, 9)
+    assert d.edge_ids_between(1, 2) == (2, 3, 6, 7)
+    assert d.multiplicity(1, 0) == 6 and d.degrees == (6, 10, 4)
+    assert list(d.support_pairs()) == [(0, 1), (1, 2)]
+
+
+def test_support_pairs_follow_first_edges():
+    g = Multigraph(4, [(3, 2), (0, 1), (2, 3), (1, 3), (1, 0), (0, 2)])
+    assert list(g.support_pairs()) == [(2, 3), (0, 1), (1, 3), (0, 2)]
+    assert g.edge_ids_between(3, 2) == (0, 2)
+    assert g.edge_ids_between(1, 3) == (3,)
+
+
+def test_pair_tables_match_a_direct_count():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        pairs = []
+        for _ in range(rng.randint(0, 25)):
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if u != v:
+                pairs.append((u, v))
+        g = Multigraph(n, pairs)
+        ids: dict = {}
+        for e, (u, v) in enumerate(pairs):
+            ids.setdefault((min(u, v), max(u, v)), []).append(e)
+        assert list(g.support_pairs()) == list(ids)
+        assert g.is_simple == all(len(found) == 1 for found in ids.values())
+        for u in range(n):
+            assert g.incident(u) == tuple(e for e, uv in enumerate(pairs) if u in uv)
+            assert g.degree(u) == len(g.incident(u))
+            for v in range(n):
+                key = (min(u, v), max(u, v))
+                assert g.edge_ids_between(u, v) == tuple(ids.get(key, ()))
+                assert g.multiplicity(u, v) == len(ids.get(key, ()))
+                assert g.has_edge(u, v) == (key in ids)
 
 
 def test_build_normalizes_endpoint_order():
-    g = build(3, [(2, 0)])
+    g = Multigraph(3, [(2, 0)])
     assert g.endpoints(0) == (0, 2)
     assert g.other_end(0, 2) == 0
 
@@ -81,7 +154,7 @@ def test_complement_k4_empty():
 
 def test_complement_rejects_multigraph():
     with pytest.raises(GraphError, match="simple"):
-        build(2, [(0, 1), (0, 1)]).complement()
+        Multigraph(2, [(0, 1), (0, 1)]).complement()
 
 
 def test_alpha_examples():
@@ -118,7 +191,7 @@ def test_components_of_empty_edge_set():
 
 
 def test_components_parallel_pair_is_even_cycle():
-    g = build(2, [(0, 1), (0, 1)])
+    g = Multigraph(2, [(0, 1), (0, 1)])
     (c,) = components_of(g, [0, 1])
     assert c.cycle_parity == "even"
 

@@ -10,6 +10,7 @@ from kchi.immersion import (
     Immersion,
     PairColouring,
     _count_gap,
+    _grouped_by_owner,
     _with_split,
     audit_double_nonedge,
     audit_inner_adjacency,
@@ -128,7 +129,7 @@ class TestRefineSplit:
         assert col.classes == ((0, 4), (1, 2), (3, 5), (6, 8), (7,))
         assert col.attached == ((0, 4), (3, 5))
         labels = corner_labels(g, col)
-        assert _count_gap(g, col, labels, 7, (0, 4)) == (1, 0)
+        assert _count_gap(g, col, labels, _grouped_by_owner(col)[7], (0, 4)) == (1, 0)
 
         ref = refine_split(g, col)
         assert ref.classes == ((0, 7), (1, 2), (3, 5), (4,), (6, 8))

@@ -1,0 +1,67 @@
+"""Pinned digests of certificates and colourings on seeded inputs.
+
+Performance work must not change what kchi writes.  Each test hashes the
+output of one pipeline over a fixed, seeded family of inputs and compares
+it with a digest recorded before the optimisations it guards.  A mismatch
+means some certificate or colouring changed; find it by diffing the
+outputs of the two trees on the same inputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from kchi.colouring import cycle_matching_colouring
+from kchi.construct import construct_immersion
+from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph
+
+SMALL_CERTIFICATES = "6e9ca2127d5215284930238071adce5d36bcdede8a242997bea19b2505b83353"
+LARGE_CERTIFICATE = "1d47732bc3c5df00774bc8735282bf96dfb186dfd1bc00645e3d5f5bd3d5f94f"
+COLOURINGS = "36ecab7ce78595377ee28d7dbf6cb067fbd8bf7766ff2d83843efd3ef6605e8a"
+
+
+def small_certificates_digest() -> str:
+    """sha256 over the certificates of 200 seeded ``gen_alpha2`` graphs, n ≤ 60."""
+    rng = random.Random(20260)
+    h = hashlib.sha256()
+    for i in range(200):
+        n, density, seed = 1 + i % 60, rng.random(), rng.randrange(2**32)
+        h.update(emit_certificate(construct_immersion(gen_alpha2(n, density, seed))).encode())
+    return h.hexdigest()
+
+
+def large_certificate_digest() -> str:
+    """sha256 of the certificate of one n = 300 ``gen_alpha2`` graph."""
+    text = emit_certificate(construct_immersion(gen_alpha2(300, 0.5, 3001)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def colourings_digest() -> str:
+    """sha256 over the colourings of 100 seeded ``gen_multigraph`` graphs, n ≤ 40."""
+    rng = random.Random(20261)
+    h = hashlib.sha256()
+    for i in range(100):
+        n, density, seed = 1 + i % 40, rng.random(), rng.randrange(2**32)
+        col = cycle_matching_colouring(gen_multigraph(n, density, seed))
+        h.update(json.dumps([col.palette, sorted(col.colour_of.items())]).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_small_certificates_are_pinned():
+    assert small_certificates_digest() == SMALL_CERTIFICATES
+
+
+def test_large_certificate_is_pinned():
+    assert large_certificate_digest() == LARGE_CERTIFICATE
+
+
+def test_colourings_are_pinned():
+    assert colourings_digest() == COLOURINGS
+
+
+if __name__ == "__main__":
+    print("SMALL_CERTIFICATES =", repr(small_certificates_digest()))
+    print("LARGE_CERTIFICATE =", repr(large_certificate_digest()))
+    print("COLOURINGS =", repr(colourings_digest()))
