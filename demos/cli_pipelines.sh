@@ -34,11 +34,27 @@ longest = max(doc["paths"], key=lambda p: len(p["edges"]))
 longest["edges"] = longest["edges"][:-1]
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
-if kchi verify "$workdir/g.json" "$workdir/bad.json"; then
-    echo 'BUG: tampering went unnoticed'; exit 1
-else
-    echo "rejected as expected (exit $?)"
+status=0
+kchi verify "$workdir/g.json" "$workdir/bad.json" || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "BUG: tampered certificate gave exit $status, not 1"; exit 1
 fi
+echo "rejected as expected (exit $status)"
+
+echo
+echo '# a malformed certificate is bad input, exit code 2 (never 3, a fault)'
+python3 - "$workdir/cert.json" "$workdir/malformed.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["paths"][0]["edges"] = ["a"]
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+status=0
+kchi verify "$workdir/g.json" "$workdir/malformed.json" || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "BUG: malformed certificate gave exit $status, not 2"; exit 1
+fi
+echo "rejected as bad input (exit $status)"
 
 echo
 echo '# edge colouring within the maximum degree, with class breakdown'

@@ -24,6 +24,12 @@ every recursive call computes ``_optimal_colouring`` of its vertex set.  The
 refinement and the faithful side work on that colouring without proving it
 again.  The final immersion is replayed once, through ``verify_immersion``
 against χ, before being returned, so callers need not replay it themselves.
+
+Each path is stored once.  The recursion fills one paths dict, passed down
+like the set of spent edge identities, and each level returns only its
+corners; the faithful side's paths are merged in once.  Corner pairs joined
+by a single edge go through one direct-edge lane (``_join_directly``), and
+only longer routes are realized edge by edge with ``_as_path``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .decorated import (
     DecoratedColouring,
@@ -47,9 +54,9 @@ from .immersion import (
     _bits,
     _faithful_immersion,
     _grouped_by_owner,
+    _no_free_edge,
     _optimal_colouring,
     _refine_split,
-    _take_edge,
     _with_split,
     audit_refined,
     chi_alpha2,
@@ -59,8 +66,7 @@ from .immersion import (
 )
 
 
-@dataclass(frozen=True)
-class BridgeArc:
+class BridgeArc(NamedTuple):
     """One outgoing detour option of an attached class.
 
     ``head`` is ("x", j) for a detour through another attached class's inner
@@ -384,12 +390,14 @@ def construct_immersion(g: Multigraph) -> Immersion:
     """
     chi, col = chi_alpha2(g)  # also rejects graphs with an independent triple
     used: set[int] = set()
-    imm = _immerse(g, col, used)
-    if len(imm.corners) != chi:
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    corners = _immerse(g, col, used, paths)
+    if len(corners) != chi:
         raise CertificateError(
             "corner count differs from the chromatic number",
-            dump={"corners": imm.corners, "chi": chi},
+            dump={"corners": corners, "chi": chi},
         )
+    imm = Immersion(corners, paths)
     report = verify_immersion(g, imm, chi)
     if not report.ok:
         raise CertificateError(
@@ -399,23 +407,50 @@ def construct_immersion(g: Multigraph) -> Immersion:
     return imm
 
 
-def _immerse_part(g: Multigraph, verts: tuple[int, ...], used: set[int]) -> Immersion:
+def _two_paths(key: tuple[int, int]) -> CertificateError:
+    return CertificateError("two paths for one corner pair", dump={"pair": key})
+
+
+def _join_directly(g: Multigraph, pairs, used: set[int], paths: dict) -> None:
+    """The direct-edge lane: join each vertex pair by its lowest unused edge.
+
+    Each path is stored under its sorted pair as a one-edge tuple; a pair
+    that already has a path is a broken contract.
+    """
+    free_edge = g.free_edge
+    for u, w in pairs:
+        key = (u, w) if u < w else (w, u)
+        if key in paths:
+            raise _two_paths(key)
+        e = free_edge(key, used)
+        if e is None:
+            raise _no_free_edge(g, u, w)
+        used.add(e)
+        paths[key] = (e,)
+
+
+def _immerse_part(
+    g: Multigraph, verts: tuple[int, ...], used: set[int], paths: dict
+) -> tuple[int, ...]:
     """Immerse G[verts], proving its colouring optimal once for this level."""
     if len(verts) <= 1:
-        return Immersion(verts, {})
-    return _immerse(g, _optimal_colouring(g, verts), used)
+        return verts
+    return _immerse(g, _optimal_colouring(g, verts), used, paths)
 
 
-def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
-    """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it."""
+def _immerse(
+    g: Multigraph, col: PairColouring, used: set[int], paths: dict
+) -> tuple[int, ...]:
+    """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it.
+
+    The paths go into ``paths``; the corners are returned.
+    """
     verts = col.vertices
     chi = len(col.classes)
 
     if chi == len(verts):  # complete graph: the identity immersion
-        paths = {}
-        for u, w in combinations(verts, 2):
-            paths[(u, w)] = (_take_edge(g, u, w, used),)
-        return Immersion(verts, paths)
+        _join_directly(g, combinations(verts, 2), used, paths)
+        return verts
 
     bad = run_colouring_audits(g, col)
     if bad:
@@ -426,13 +461,13 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
 
     if not col.singletons:
         # all classes are pairs; deleting one vertex keeps the count
-        sub = _immerse_part(g, verts[1:], used)
-        if len(sub.corners) != chi:
+        corners = _immerse_part(g, verts[1:], used, paths)
+        if len(corners) != chi:
             raise CertificateError(
                 "vertex deletion changed the chromatic number",
-                dump={"dropped": verts[0], "chi": chi, "got": len(sub.corners)},
+                dump={"dropped": verts[0], "chi": chi, "got": len(corners)},
             )
-        return sub
+        return corners
 
     # ``col`` is optimal, and a refine swap keeps the class count, so the
     # refined colouring needs no second proof; neither does its restriction
@@ -446,35 +481,34 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
             dump={"failures": bad[:6]},
         )
 
+    singles = col.singletons
     if not col.attached:
         # every singleton is universal in G[verts] and extends directly
-        for u in col.singletons:
+        for u in singles:
             if any(w != u and not g.has_edge(u, w) for w in verts):
                 raise CertificateError(
                     "detached singleton misses a vertex", dump={"singleton": u}
                 )
-        singles = set(col.singletons)
-        stripped = tuple(w for w in verts if w not in singles)
-        sub = _immerse_part(g, stripped, used)
-        if len(sub.corners) != chi - len(col.singletons):
+        single_set = set(singles)
+        stripped = tuple(w for w in verts if w not in single_set)
+        sub = _immerse_part(g, stripped, used, paths)
+        if len(sub) != chi - len(singles):
             raise CertificateError(
                 "stripping the singletons changed the remainder's count",
-                dump={"chi": chi, "singles": col.singletons, "got": len(sub.corners)},
+                dump={"chi": chi, "singles": singles, "got": len(sub)},
             )
-        paths = dict(sub.paths)
-        for t, u in enumerate(col.singletons):
-            for w in col.singletons[t + 1 :] + sub.corners:
-                key, ids = _as_path(g, (u, w), used)
-                paths[key] = ids
-        return Immersion(tuple(sorted(col.singletons + sub.corners)), paths)
+        _join_directly(
+            g, ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + sub), used, paths
+        )
+        return tuple(sorted(singles + sub))
 
     # general shape: immerse the detached side, the attached side, then join
     y_union = tuple(sorted(v for cls in col.detached for v in cls))
-    imm_y = _immerse_part(g, y_union, used)
-    if len(imm_y.corners) != len(col.detached):
+    y_corners = _immerse_part(g, y_union, used, paths)
+    if len(y_corners) != len(col.detached):
         raise CertificateError(
             "detached side used an unexpected corner count",
-            dump={"classes": col.detached, "corners": imm_y.corners},
+            dump={"classes": col.detached, "corners": y_corners},
         )
 
     attached = set(col.attached)
@@ -487,22 +521,14 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
                     "faithful side touched an edge already spent", dump={"edge": e}
                 )
             used.add(e)
+    clash = paths.keys() & imm_x.paths.keys()
+    if clash:
+        raise _two_paths(min(clash))
+    paths.update(imm_x.paths)
 
-    paths = dict(imm_x.paths)
-    y_corners = imm_y.corners
-
-    def put(key: tuple[int, int], ids: tuple[int, ...]) -> None:
-        if key in paths:
-            raise CertificateError("two paths for one corner pair", dump={"pair": key})
-        paths[key] = ids
-
-    for key, ids in imm_y.paths.items():
-        put(key, ids)
-    for a in col.singletons:
-        for y in y_corners:
-            key, ids = _as_path(g, (a, y), used)
-            put(key, ids)
-
+    # every (singleton, far corner) and unbridged (class corner, far corner)
+    # pair is one edge; these pairs share no vertex pair with a bridge
+    direct = [(a, y) for a in singles for y in y_corners]
     for v in sorted(_grouped_by_owner(col)):
         d_full = build_bridge_digraph(g, col, v, y_corners)
         bad = audit_out_degree(d_full)
@@ -522,17 +548,20 @@ def _immerse(g: Multigraph, col: PairColouring, used: set[int]) -> Immersion:
                 dump={"owner": v, "failures": rep.failures[:6]},
             )
         routes = assign_bridges(d, dec)
-        for i in range(len(d.x_nodes)):
+        for i, bridged in enumerate(d.bridged):
             for y in d.y_corners:
-                if y in d.bridged[i]:
+                if y in bridged:
                     key, ids = _as_path(g, routes[(i, y)], used)
+                    if key in paths:
+                        raise _two_paths(key)
+                    paths[key] = ids
                 else:
-                    key, ids = _as_path(g, (d.corner[i], y), used)
-                put(key, ids)
+                    direct.append((d.corner[i], y))
+    _join_directly(g, direct, used, paths)
 
     corners = tuple(sorted(imm_x.corners + y_corners))
     if len(corners) != chi:
         raise CertificateError(
             "merged corner count mismatch", dump={"corners": corners, "chi": chi}
         )
-    return Immersion(corners, paths)
+    return corners

@@ -30,7 +30,9 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import cache
 from itertools import chain
+from operator import add, itemgetter
 
 from .errors import CertificateError, GraphError
 from .graphs import Multigraph, alpha_at_most_2
@@ -290,10 +292,17 @@ def _int_list(items, pad: str) -> str:
     return "[" + sep[1:] + sep.join(map(int.__repr__, items)) + "\n" + pad + "]"
 
 
-_PATH = (
-    '    {\n      "edges": [\n        %s\n      ],\n'
-    '      "pair": [\n        %d,\n        %d\n      ]\n    }'
-)
+@cache
+def _path_template(length: int) -> str:
+    """One path entry's text for a path of ``length`` edges, a ``%d`` per number.
+
+    Cached: a certificate has few distinct path lengths.
+    """
+    return (
+        '    {\n      "edges": [\n'
+        + ",\n".join(["        %d"] * length)
+        + '\n      ],\n      "pair": [\n        %d,\n        %d\n      ]\n    }'
+    )
 
 
 def emit_certificate(imm: Immersion) -> str:
@@ -301,9 +310,11 @@ def emit_certificate(imm: Immersion) -> str:
 
     json's indented output runs its pure-Python encoder, so the text is
     joined here directly: keys sorted, two spaces per level, one number
-    per line.  A certificate this layout does not cover (a number that is
-    not a plain int, a pair not of two corners, an empty path) is handed to
-    json itself, so the output is the same either way.
+    per line, with the paths section written by one ``%`` over the
+    per-length entry templates of its paths.  A certificate this layout
+    does not cover (a number that is not a plain int, a pair not of two
+    corners, an empty path) is handed to json itself, so the output is the
+    same either way.
     """
     paths = imm.paths
     classes = () if imm.faithful_to is None else imm.faithful_to.classes
@@ -321,11 +332,11 @@ def emit_certificate(imm: Immersion) -> str:
         parts.append('  "classes": ' + ("[\n" + listed + "\n  ]" if classes else "[]") + ",\n")
     parts.append('  "corners": ' + _int_list(imm.corners, "  ") + ",\n")
     parts.append('  "kind": "immersion",\n')
-    listed = ",\n".join(
-        [
-            _PATH % (",\n        ".join(map(int.__repr__, ids)), u, w)
-            for (u, w), ids in sorted(paths.items())
-        ]
+    pairs = sorted(paths)
+    seqs = list(map(paths.__getitem__, pairs))
+    # one format over every entry: each path's edges, then its pair
+    listed = ",\n".join(map(_path_template, map(len, seqs))) % tuple(
+        chain.from_iterable(map(add, seqs, pairs))
     )
     parts.append('  "paths": ' + ("[\n" + listed + "\n  ]" if paths else "[]") + ",\n")
     parts.append(f'  "t": {len(imm.corners)}\n}}\n')
@@ -333,7 +344,13 @@ def emit_certificate(imm: Immersion) -> str:
 
 
 def parse_certificate(g: Multigraph, text: str) -> Immersion:
-    """Rebuild an immersion certificate; the graph resolves colour classes."""
+    """Rebuild an immersion certificate; the graph resolves colour classes.
+
+    Every container must be a JSON list and every corner, pair entry, edge
+    and class entry a plain integer (not ``true``/``false``); anything else
+    raises ``GraphError``.  Values are not judged here: a class or corner
+    outside the graph parses, and ``verify_immersion`` rejects it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -341,12 +358,31 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
     try:
         if doc["kind"] != "immersion":
             raise GraphError(f"unknown certificate kind {doc['kind']!r}")
-        corners = tuple(doc["corners"])
-        paths = {
-            tuple(entry["pair"]): tuple(entry["edges"]) for entry in doc["paths"]
-        }
+        corners = doc["corners"]
+        entries = doc["paths"]
+        pairs = list(map(itemgetter("pair"), entries))
+        seqs = list(map(itemgetter("edges"), entries))
         classes = doc.get("classes")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed certificate: missing or bad field {exc}") from None
-    col = _with_split(g, [tuple(cls) for cls in classes]) if classes else None
-    return Immersion(corners, paths, faithful_to=col)
+    if classes is None:
+        classes = []
+    containers = chain((corners, entries, classes), pairs, seqs)
+    leaves = chain(
+        corners,
+        chain.from_iterable(pairs),
+        chain.from_iterable(seqs),
+        chain.from_iterable(classes),
+    )
+    # lazy chains: each test runs only once the containers before it are lists
+    if (
+        set(map(type, containers)) - {list}
+        or set(map(type, classes)) - {list}
+        or set(map(type, leaves)) - {int}
+    ):
+        raise GraphError(
+            "malformed certificate: corners, pairs, edges and classes must be lists of integers"
+        )
+    paths = dict(zip(map(tuple, pairs), map(tuple, seqs)))
+    col = _with_split(g, list(map(tuple, classes))) if classes else None
+    return Immersion(tuple(corners), paths, faithful_to=col)

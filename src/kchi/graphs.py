@@ -166,6 +166,20 @@ class Multigraph:
             return ()
         return self._copies.get(uv) or (e,)
 
+    def free_edge(self, uv: tuple[int, int], used: set[int]) -> int | None:
+        """The lowest identity joining the sorted pair ``uv`` not in ``used``, or None.
+
+        Reads the first-edge table once and the parallel copies only when
+        that first edge is already used.
+        """
+        e = self._first.get(uv)
+        if e is None or e not in used:
+            return e
+        for e in self._copies.get(uv, ()):
+            if e not in used:
+                return e
+        return None
+
     def neighbours(self, v: int) -> Iterator[int]:
         return iter_bits(self._mask[v])
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CertificateError, PremiseError
-from .graphs import Multigraph, alpha_at_most_2, iter_bits
+from .graphs import Multigraph, alpha_at_most_2
 from .matching import matching_size, maximum_matching
 from .reporting import ValidityReport
 
@@ -89,21 +89,34 @@ def _bits(vertices) -> int:
     return out
 
 
-def _check_colouring(g: Multigraph, classes) -> tuple[int, ...]:
-    """Validate shape: disjoint independent classes of size one or two."""
+def _colouring_failures(g: Multigraph, classes) -> list[str]:
+    """Why ``classes`` are not disjoint independent classes of size one or two
+    inside the graph, one string per violation; empty when they are."""
+    bad = []
     seen: set[int] = set()
     for cls in classes:
         if not 1 <= len(cls) <= 2 or len(set(cls)) != len(cls):
-            raise PremiseError(f"class {tuple(cls)} does not have one or two distinct vertices")
+            bad.append(f"class {tuple(cls)} does not have one or two distinct vertices")
+            continue
+        inside = True
         for v in cls:
             if not 0 <= v < g.n:
-                raise PremiseError(f"class vertex {v} outside the graph")
-            if v in seen:
-                raise PremiseError(f"vertex {v} appears in two classes")
+                bad.append(f"class vertex {v} outside the graph")
+                inside = False
+            elif v in seen:
+                bad.append(f"vertex {v} appears in two classes")
             seen.add(v)
-        if len(cls) == 2 and g.has_edge(cls[0], cls[1]):
-            raise PremiseError(f"class {tuple(cls)} spans an edge")
-    return tuple(sorted(seen))
+        if inside and len(cls) == 2 and g.has_edge(cls[0], cls[1]):
+            bad.append(f"class {tuple(cls)} spans an edge")
+    return bad
+
+
+def _check_colouring(g: Multigraph, classes) -> tuple[int, ...]:
+    """Validate shape: disjoint independent classes of size one or two."""
+    bad = _colouring_failures(g, classes)
+    if bad:
+        raise PremiseError(bad[0])
+    return tuple(sorted(v for cls in classes for v in cls))
 
 
 def _with_split(g: Multigraph, classes) -> PairColouring:
@@ -139,11 +152,19 @@ def _non_adjacency(g: Multigraph, verts: tuple[int, ...]) -> list[list[int]]:
     ``verts`` is ascending, so each list comes out ascending too.
     """
     live = _bits(verts)
-    local = {u: i for i, u in enumerate(verts)}
-    return [
-        [local[w] for w in iter_bits(live & ~g.adjacency_mask(u) & ~(1 << u))]
-        for u in verts
-    ]
+    local = [0] * (verts[-1] + 1 if verts else 0)
+    for i, u in enumerate(verts):
+        local[u] = i
+    rows = []
+    for u in verts:
+        missed = live & ~g.adjacency_mask(u) & ~(1 << u)
+        row = []
+        while missed:
+            low = missed & -missed
+            row.append(local[low.bit_length() - 1])
+            missed ^= low
+        rows.append(row)
+    return rows
 
 
 def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
@@ -208,16 +229,20 @@ def corner_labels(g: Multigraph, col: PairColouring) -> dict[tuple[int, int], in
     return labels
 
 
-def _take_edge(g: Multigraph, u: int, w: int, used: set[int]) -> int:
-    """Reserve one untouched edge identity between u and w."""
-    for e in g.edge_ids_between(u, w):
-        if e not in used:
-            used.add(e)
-            return e
-    raise CertificateError(
+def _no_free_edge(g: Multigraph, u: int, w: int) -> CertificateError:
+    return CertificateError(
         "no unused edge left between path vertices",
         dump={"pair": (u, w), "copies": g.multiplicity(u, w)},
     )
+
+
+def _take_edge(g: Multigraph, u: int, w: int, used: set[int]) -> int:
+    """Reserve one untouched edge identity between u and w."""
+    e = g.free_edge((u, w) if u < w else (w, u), used)
+    if e is None:
+        raise _no_free_edge(g, u, w)
+    used.add(e)
+    return e
 
 
 def _as_path(g: Multigraph, route: tuple[int, ...], used: set[int]) -> tuple[tuple[int, int], tuple[int, ...]]:
@@ -363,58 +388,80 @@ def verify_immersion(
     exactly one path per unordered corner pair, every path is a walk whose
     consecutive edges chain between its corners, and no edge identity is
     used twice.  A colouring in ``faithful_wrt`` (defaulting to the
-    immersion's own ``faithful_to`` annotation) additionally restricts every
-    path to the union of its corners' classes, at most one corner per class.
+    immersion's own ``faithful_to`` annotation) must be a colouring of the
+    graph: classes of one or two distinct vertices inside it, pairwise
+    disjoint, none spanning an edge.  It additionally restricts every path
+    to the union of its corners' classes, at most one corner per class.
+
+    A one-edge path closes its walk exactly when that edge joins its two
+    corners, so such paths are accepted by one comparison; every other path
+    is walked edge by edge.
     """
     failures: list[str] = []
     corners = imm.corners
     if len(corners) != t:
         failures.append(f"corner count {len(corners)} differs from target {t}")
-    if len(set(corners)) != len(corners):
+    distinct = sorted(set(corners))
+    if len(distinct) != len(corners):
         failures.append("corners are not distinct")
     if any(not 0 <= u < g.n for u in corners):
         failures.append("corner outside the graph")
         return ValidityReport.from_failures(failures)
 
-    wanted = {tuple(sorted(p)) for p in combinations(set(corners), 2)}
-    got = set(imm.paths)
-    for key in sorted(wanted - got):
-        failures.append(f"missing path for corner pair {key}")
-    for key in sorted(got - wanted):
-        failures.append(f"path for non-corner pair {key}")
-
-    tally: dict[int, int] = {}
-    for key in sorted(got & wanted):
-        seq = imm.paths[key]
+    paths = imm.paths
+    m, edges = g.m, g.edges
+    tally = bytearray(m)  # 1 once an edge identity is on some path
+    reused: set[int] = set()
+    missing: list[str] = []
+    broken: list[str] = []
+    found = 0
+    for key in combinations(distinct, 2):  # sorted pairs, in sorted order
+        seq = paths.get(key)
+        if seq is None:
+            missing.append(f"missing path for corner pair {key}")
+            continue
+        found += 1
+        if len(seq) == 1:
+            e = seq[0]
+            if 0 <= e < m and edges[e] == key:
+                if tally[e]:
+                    reused.add(e)
+                tally[e] = 1
+                continue
         if not seq:
-            failures.append(f"empty path for pair {key}")
+            broken.append(f"empty path for pair {key}")
             continue
         at = key[0]
-        ok = True
         for e in seq:
-            if not 0 <= e < g.m:
-                failures.append(f"path for pair {key} uses unknown edge {e}")
-                ok = False
+            if not 0 <= e < m:
+                broken.append(f"path for pair {key} uses unknown edge {e}")
                 break
-            u, w = g.endpoints(e)
+            u, w = edges[e]
             if at == u:
                 at = w
             elif at == w:
                 at = u
             else:
-                failures.append(f"path for pair {key}: edge {e} does not continue the walk")
-                ok = False
+                broken.append(f"path for pair {key}: edge {e} does not continue the walk")
                 break
-            tally[e] = tally.get(e, 0) + 1
-        if ok and at != key[1]:
-            failures.append(f"path for pair {key} stops at {at}, not at its endpoint {key[1]}")
+            if tally[e]:
+                reused.add(e)
+            tally[e] = 1
+        else:
+            if at != key[1]:
+                broken.append(f"path for pair {key} stops at {at}, not at its endpoint {key[1]}")
 
-    reused = sorted(e for e, k in tally.items() if k > 1)
+    failures += missing
+    if found < len(paths):
+        wanted = set(combinations(distinct, 2))
+        failures += [f"path for non-corner pair {key}" for key in sorted(set(paths) - wanted)]
+    failures += broken
     if reused:
-        failures.append(f"edge reuse: identities {reused[:8]} appear in several paths")
+        failures.append(f"edge reuse: identities {sorted(reused)[:8]} appear in several paths")
 
     col = faithful_wrt if faithful_wrt is not None else imm.faithful_to
     if col is not None:
+        failures += _colouring_failures(g, col.classes)
         home: dict[int, tuple[int, ...]] = {}
         for cls in col.classes:
             for v in cls:
@@ -423,22 +470,25 @@ def verify_immersion(
             inside = [u for u in set(corners) if u in cls]
             if len(inside) > 1:
                 failures.append(f"class {cls} contains two corners {sorted(inside)}")
-        for key in sorted(got & wanted):
+        for key in combinations(distinct, 2):
+            seq = paths.get(key)
+            if seq is None:
+                continue
             if key[0] not in home or key[1] not in home:
                 failures.append(f"corner pair {key} not covered by the colouring")
                 continue
             allowed = set(home[key[0]]) | set(home[key[1]])
-            for e in imm.paths[key]:
-                if not 0 <= e < g.m:
+            for e in seq:
+                if not 0 <= e < m:
                     continue
-                u, w = g.endpoints(e)
+                u, w = edges[e]
                 if u not in allowed or w not in allowed:
                     failures.append(
                         f"path for pair {key} leaves its classes at edge {e}"
                     )
                     break
 
-    return ValidityReport.from_failures(failures, details={"paths": len(imm.paths)})
+    return ValidityReport.from_failures(failures, details={"paths": len(paths)})
 
 
 # -- structural audits ------------------------------------------------------
@@ -491,6 +541,8 @@ def audit_double_nonedge(g: Multigraph, col: PairColouring) -> list[str]:
     If u misses one half of class A and v ≠ u misses one half of class B ≠ A,
     then u, v and the two other halves are pairwise adjacent.
     """
+    if len(col.singletons) < 2:
+        return []
     bad = []
     for cls_a, cls_b in combinations(col.pairs, 2):
         for u, v in combinations(col.singletons, 2):

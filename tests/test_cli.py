@@ -125,6 +125,50 @@ class TestVerify:
         code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", "{nope"))
         assert code == 2 and doc["error"]["type"] == "GraphError"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("edges", ["a"]),
+            ("corners", ["0", 3, 4]),
+            ("edges", [1.5]),
+            ("classes", [7]),
+            ("classes", [None]),
+        ],
+        ids=["string-edge", "string-corner", "float-edge", "int-class", "null-class"],
+    )
+    def test_malformed_leaves_are_bad_input(self, run, field, value):
+        cert = self.cert_for(run, C5)
+        if field == "edges":
+            cert["paths"][0]["edges"] = value
+        else:
+            cert[field] = value
+        code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", json.dumps(cert)))
+        assert code == 2 and doc["error"]["type"] == "GraphError"
+        assert doc["error"]["message"].startswith("malformed certificate: ")
+
+    def test_pair_of_three_is_rejected_not_malformed(self, run):
+        cert = self.cert_for(run, C5)
+        cert["paths"][0]["pair"] = [0, 3, 4]
+        code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", json.dumps(cert)))
+        assert code == 1 and not doc["ok"]
+
+    @pytest.mark.parametrize(
+        "extra", [[0, 99], [0, 1], [0, 2]], ids=["outside", "repeated", "spans-edge"]
+    )
+    def test_classes_that_are_no_colouring_exit_1(self, run, extra):
+        from kchi.generators import emit_certificate, gen_family
+        from kchi.immersion import chi_alpha2, faithful_immersion, refine_split
+
+        g = gen_family("faithful", (3, 1))
+        cert = json.loads(emit_certificate(faithful_immersion(g, refine_split(g, chi_alpha2(g)[1]))))
+        # the edge list keeps g's edge order, which the certificate's ids refer to
+        graph = ("g.txt", f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, _, _ = run("verify", graph, ("cert.json", json.dumps(cert)))
+        assert code == 0
+        cert["classes"].append(extra)
+        code, doc, _ = run("verify", graph, ("cert.json", json.dumps(cert)))
+        assert code == 1 and not doc["ok"]
+
 
 class TestGen:
     def test_family(self, run):

@@ -18,6 +18,7 @@ from kchi.generators import (
 from kchi.graphs import Multigraph, alpha_at_most_2
 from kchi.immersion import (
     Immersion,
+    _with_split,
     chi_alpha2,
     faithful_immersion,
     refine_split,
@@ -222,6 +223,18 @@ class TestCertificateWriter:
         for i in range(50):
             g = gen_alpha2(1 + i % 45, rng.random(), rng.randrange(2**32))
             self._same_and_round_trips(g, construct_immersion(g))
+
+    def test_paths_of_every_length(self):
+        """One template per path length: lengths 1, 2, 3, 5 and 8 side by side."""
+        g = Multigraph(12, [(u, u + 1) for u in range(11)] + [(0, 11)] * 9)
+        lengths = {(0, 1): 1, (0, 2): 2, (1, 4): 3, (2, 7): 5, (3, 11): 8, (1, 2): 1}
+        first = iter(range(g.m))
+        paths = {pair: tuple(next(first) for _ in range(k)) for pair, k in lengths.items()}
+        corners = tuple(sorted({v for pair in paths for v in pair}))
+        self._same_and_round_trips(g, Immersion(corners, paths))
+        col = _with_split(g, [(0, 5), (1,), (2, 9), (3,), (4,), (7,), (11,)])
+        back = self._same_and_round_trips(g, Immersion(corners, paths, faithful_to=col))
+        assert back.faithful_to.classes == col.classes
 
     @pytest.mark.parametrize(
         "imm",

@@ -1,10 +1,12 @@
 """Tests for optimal pair colourings and faithful immersions."""
 
+import json
 import random
 
 import pytest
 
 from kchi.errors import CertificateError, PremiseError
+from kchi.generators import emit_certificate, gen_family, parse_certificate
 from kchi.graphs import Multigraph, alpha_at_most_2
 from kchi.immersion import (
     Immersion,
@@ -286,6 +288,111 @@ class TestVerifyImmersion:
         g, col, imm = c5_immersion()
         rep = verify_immersion(g, imm, 3, faithful_wrt=col)
         assert rep.ok, rep.failures
+
+
+def k4_immersion():
+    """K4's identity immersion: every path is the one edge of its pair."""
+    g = complete(4)
+    paths = {(u, w): (e,) for e, (u, w) in enumerate(g.edges)}
+    return g, Immersion((0, 1, 2, 3), paths)
+
+
+class TestVerifyDirectEdges:
+    """One-edge paths take the verifier's short lane; its verdicts are the walk's."""
+
+    def failures(self, changes, base=k4_immersion):
+        g, imm = base()
+        paths = {**imm.paths, **changes}
+        return verify_immersion(g, Immersion(imm.corners, paths), len(imm.corners)).failures
+
+    def test_identity_immersion_accepted(self):
+        assert self.failures({}) == []
+
+    def test_edge_of_another_pair(self):
+        assert self.failures({(0, 1): (5,)}) == [
+            "path for pair (0, 1): edge 5 does not continue the walk"
+        ]
+
+    @pytest.mark.parametrize("e", [6, -1])
+    def test_edge_ids_outside_the_graph(self, e):
+        assert self.failures({(0, 1): (e,)}) == [f"path for pair (0, 1) uses unknown edge {e}"]
+
+    def test_one_edge_on_two_direct_paths(self):
+        assert self.failures({(0, 2): (0,)}) == [
+            "path for pair (0, 2) stops at 1, not at its endpoint 2",
+            "edge reuse: identities [0] appear in several paths",
+        ]
+
+    def test_direct_edges_reused_by_a_longer_walk(self):
+        assert self.failures({(0, 3): (0, 3, 5)}) == [
+            "edge reuse: identities [0, 3, 5] appear in several paths"
+        ]
+
+    def test_empty_path(self):
+        assert self.failures({(1, 3): ()}) == ["empty path for pair (1, 3)"]
+
+    def test_parallel_copies(self):
+        g = complete(3).doubled()  # edges 2k and 2k + 1 join the same pair
+        imm = Immersion((0, 1, 2), {(0, 1): (1,), (0, 2): (2,), (1, 2): (5,)})
+        assert verify_immersion(g, imm, 3).ok
+        imm = Immersion((0, 1, 2), {(0, 1): (0,), (0, 2): (0,), (1, 2): (4,)})
+        assert verify_immersion(g, imm, 3).failures == [
+            "path for pair (0, 2) stops at 1, not at its endpoint 2",
+            "edge reuse: identities [0] appear in several paths",
+        ]
+
+    def test_direct_path_beside_a_broken_long_path(self):
+        def c5():
+            g, _, imm = c5_immersion()
+            return g, Immersion(imm.corners, imm.paths)
+
+        assert self.failures({(0, 3): (0, 2, 1), (3, 4): (4,)}, base=c5) == [
+            "path for pair (0, 3): edge 2 does not continue the walk",
+            "path for pair (3, 4): edge 4 does not continue the walk",
+        ]
+
+
+class TestVerifyClasses:
+    """The classes of a faithful certificate must form a colouring of the graph."""
+
+    def certificate_doc(self):
+        g = gen_family("faithful", (3, 1))
+        chi, col = chi_alpha2(g)
+        doc = json.loads(emit_certificate(faithful_immersion(g, refine_split(g, col))))
+        return g, chi, doc
+
+    def test_own_classes_accepted(self):
+        g, chi, doc = self.certificate_doc()
+        assert verify_immersion(g, parse_certificate(g, json.dumps(doc)), chi).ok
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ([0, 99], ["vertex 0 appears in two classes", "class vertex 99 outside the graph"]),
+            ([0, 1], ["vertex 0 appears in two classes", "vertex 1 appears in two classes"]),
+            (
+                [0, 2],
+                [
+                    "vertex 0 appears in two classes",
+                    "class (0, 2) spans an edge",
+                    "vertex 2 appears in two classes",
+                ],
+            ),
+        ],
+        ids=["outside-the-graph", "repeated-class", "class-spans-an-edge"],
+    )
+    def test_appended_class_rejected(self, extra, expected):
+        g, chi, doc = self.certificate_doc()
+        doc["classes"].append(extra)
+        rep = verify_immersion(g, parse_certificate(g, json.dumps(doc)), chi)
+        assert rep.failures == expected
+
+    def test_empty_class_rejected(self):
+        g = cycle(5)
+        imm = Immersion((1, 3), {(1, 3): (1, 2)})
+        col = _with_split(g, [(0,), (1, 3), (2,), (4,), ()])
+        rep = verify_immersion(g, imm, 2, faithful_wrt=col)
+        assert "class () does not have one or two distinct vertices" in rep.failures
 
 
 class TestAudits:
