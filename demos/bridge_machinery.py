@@ -44,20 +44,24 @@ col = refine_split(g, col)
 print(f"host: n={g.n} m={g.m}  χ={chi}")
 print(f"  singletons {col.singletons}, attached {col.attached}, detached {col.detached}")
 
-# stage 1: the bridge digraph of owner 10 against far corners 7 and 9
+# stage 1: the bridge digraph of owner 10 against far corners 7 and 9.  A
+# class may keep one arc per bridged or droppable corner; every detour it
+# offers is counted, but only the arcs within that budget are built, those
+# whose reverse is absent first
 d = build_bridge_digraph(g, col, 10, (7, 9))
 print("\nbridge digraph:")
 for i, cls in enumerate(d.x_nodes):
     print(
         f"  class {i} = {cls}: inner {d.inner[i]}, corner {d.corner[i]}, "
         f"bridged {sorted(d.bridged[i])}, droppable {sorted(d.droppable[i])}, "
-        f"settled {sorted(d.settled[i])}"
+        f"settled {sorted(d.settled[i])}, offers {d.offers[i]}"
     )
 print(f"  arcs: {[(a.tail, a.head, a.mid) for a in d.arcs]}")
 
-# stage 2: enforce the per-class arc budget, then check it
-d = restrict_out_degree(d)
+# stage 2: every class must offer at least its budget; the build kept
+# exactly the budget, so restricting the out-degrees changes nothing
 assert audit_out_degree(d) == []
+assert restrict_out_degree(d) is d
 
 # stage 3: opposite arc pairs form the conflict graph; far-corner types
 # become the palette regions for its decorated colouring
@@ -70,8 +74,11 @@ for i in range(h.n):
         f"reserve {sorted(regions.reserve[i])}, blocked {sorted(regions.blocked[i])}"
     )
 
+# the triangle is spent at colour 0, so colour 1 is not stepped through:
+# with no edge left it marks every class
 dec = critical_colouring(h, regions.palette, regions)
 print(f"  decorated colouring: colour_of {dec.colour_of}, reserved {dec.reserved}")
+print(f"  marked per colour: { {c: sorted(xs) for c, xs in dec.uncovered_at.items()} }")
 
 # stage 4: each conflict edge's colour decides who keeps the inner-inner
 # edge; everything else bridges through its remaining arcs

@@ -26,6 +26,21 @@ echo '# the verifier replays the certificate independently'
 kchi verify "$workdir/g.json" "$workdir/cert.json"
 
 echo
+echo '# a benchmark-sized graph: several singletons own attached classes, so the'
+echo '# bridge stage runs once per owner; the round trip must verify'
+kchi gen --n 300 --density 0.6 --seed 11 > "$workdir/g300.json"
+kchi immerse - < "$workdir/g300.json" > "$workdir/cert300.json"
+python3 - "$workdir/cert300.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+print("chi", doc["chi"], "corners", len(doc["corners"]))
+if len(doc["corners"]) != doc["chi"]:
+    sys.exit("BUG: corner count differs from chi")
+EOF
+kchi verify "$workdir/g300.json" "$workdir/cert300.json" > /dev/null
+echo "verified"
+
+echo
 echo '# a tampered certificate is rejected with exit code 1'
 python3 - "$workdir/cert.json" "$workdir/bad.json" <<'EOF'
 import json, sys

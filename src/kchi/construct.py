@@ -11,12 +11,17 @@ corner y either directly (when the edge exists) or along a short bridge
 through non-corner vertices.
 
 Bridges are rationed through an auxiliary digraph whose arcs encode the
-available length-2 detours between a class's inner half and its corner.  Two
-opposite arcs would reuse the same inner-inner edge, so the double arcs form
-a conflict graph that is handed to the decorated cycle-matching colouring;
-its reserve/relief certificates say which arc of each conflicting pair to
-drop, reroute or share, after which every remaining corner pair takes its
-lowest free arc.  All of this is per construction step.
+available length-2 detours between a class's inner half and its corner.  Each
+class may keep one arc per far corner that is not settled by two direct
+edges; the digraph is built with only the arcs within that budget (detours
+whose reverse is absent first), and it records how many detours each class
+offers in all, which is what the out-degree audit checks.  Two opposite arcs
+would reuse the same inner-inner edge, so the double arcs form a conflict
+graph that is handed to the decorated cycle-matching colouring; its
+reserve/relief certificates say which arc of each conflicting pair to drop,
+reroute or share, after which every remaining corner pair takes its lowest
+free arc.  All of this is per construction step, and costs time in
+proportion to the arcs kept, not to the detours offered.
 
 Each recursion level proves its colouring optimal exactly once, with one
 blossom matching: the top level reuses the colouring of ``chi_alpha2`` and
@@ -28,8 +33,9 @@ against χ, before being returned, so callers need not replay it themselves.
 Each path is stored once.  The recursion fills one paths dict, passed down
 like the set of spent edge identities, and each level returns only its
 corners; the faithful side's paths are merged in once.  Corner pairs joined
-by a single edge go through one direct-edge lane (``_join_directly``), and
-only longer routes are realized edge by edge with ``_as_path``.
+by a single edge go through one direct-edge lane (``immersion._join_directly``,
+shared with the faithful side), and only longer routes are realized edge by
+edge with ``_as_path``.
 """
 
 from __future__ import annotations
@@ -54,9 +60,10 @@ from .immersion import (
     _bits,
     _faithful_immersion,
     _grouped_by_owner,
-    _no_free_edge,
+    _join_directly,
     _optimal_colouring,
     _refine_split,
+    _two_paths,
     _with_split,
     audit_refined,
     chi_alpha2,
@@ -91,6 +98,10 @@ class BridgeDigraph:
     * ``droppable``: y–corner present, y–inner missing — direct edge, and
       the arc budget has one arc of slack here;
     * ``settled``:   both edges present — direct edge, no interaction.
+
+    Node i's arc budget is ``len(bridged[i]) + len(droppable[i])``, and
+    ``offers[i]`` counts every detour node i has.  ``arcs`` may list fewer:
+    ``build_bridge_digraph`` lists only the arcs within budget.
     """
 
     owner: int
@@ -103,6 +114,7 @@ class BridgeDigraph:
     bridged: tuple[frozenset[int], ...]
     droppable: tuple[frozenset[int], ...]
     settled: tuple[frozenset[int], ...]
+    offers: tuple[int, ...]
 
     def out_arcs(self, i: int) -> tuple[int, ...]:
         return self._out_arcs[i]
@@ -115,11 +127,48 @@ class BridgeDigraph:
             out[a.tail].append(k)
         return tuple(map(tuple, out))
 
+    @cached_property
+    def arc_index(self) -> dict[tuple[int, tuple[str, int]], int]:
+        """Each arc's index, keyed by (tail, head)."""
+        return {(a.tail, a.head): k for k, a in enumerate(self.arcs)}
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
+    out = 0
+    while mask and count > 0:
+        low = mask & -mask
+        out |= low
+        mask ^= low
+        count -= 1
+    return out
+
+
+def _kept_arcs(budget: int, plain: int, mutual: int, n_y: int) -> tuple[int, int]:
+    """Which of a node's arcs stay within its budget.
+
+    ``plain`` and ``mutual`` are the masks of the node's x-arc heads whose
+    reverse is absent and present, and ``n_y`` counts its y-arcs.  Plain
+    x-arcs are kept first, then y-arcs, then mutual x-arcs, so that as few
+    conflicting pairs as possible survive; any selection would be correct.
+    Returns the mask of kept x-arc heads (the lowest of each kind) and how
+    many of the lowest y-arcs are kept.
+    """
+    room = max(budget - plain.bit_count(), 0)
+    y_kept = min(n_y, room)
+    return _lowest_bits(plain, budget) | _lowest_bits(mutual, room - y_kept), y_kept
+
 
 def build_bridge_digraph(
     g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
 ) -> BridgeDigraph:
-    """Assemble the detour digraph of owner ``v`` against the far corners."""
+    """Assemble the detour digraph of owner ``v`` against the far corners.
+
+    Every detour is counted in ``offers``, but only the arcs within each
+    node's budget are built, chosen by ``_kept_arcs``, the rule
+    ``restrict_out_degree`` trims by; x-arcs are listed before y-arcs, by
+    head and by detached class.
+    """
     if v not in col.singletons:
         raise PremiseError(f"owner {v} is not a singleton class")
     labels = corner_labels(g, col)
@@ -129,6 +178,7 @@ def build_bridge_digraph(
     corner = tuple(labels[cls] for cls in x_nodes)
 
     far_corners = _bits(y_corners)
+    far_set = frozenset(y_corners)
     bridged, droppable, settled = [], [], []
     for i in range(len(x_nodes)):
         at_corner = g.adjacency_mask(corner[i]) & far_corners
@@ -141,22 +191,51 @@ def build_bridge_digraph(
             )
         bridged.append(frozenset(iter_bits(at_inner & ~at_corner)))
         droppable.append(frozenset(iter_bits(at_corner & ~at_inner)))
-        settled.append(frozenset(iter_bits(at_corner & at_inner)))
+        settled.append(far_set - bridged[i] - droppable[i])  # sees both halves
 
     # both[i]: the vertices adjacent to both halves of attached class i
     both = [g.adjacency_mask(a) & g.adjacency_mask(b) for a, b in x_nodes]
+    # x-arc i → j when corner i sees both halves of class j (never i = j, the
+    # graph being loopless); heads[i] and tails[i] are node masks
+    node_at = {c: i for i, c in enumerate(corner)}
+    corner_bits = _bits(corner)
+    heads = [0] * len(x_nodes)
+    tails = [0] * len(x_nodes)
+    for j in range(len(x_nodes)):
+        for c in iter_bits(both[j] & corner_bits):
+            i = node_at[c]
+            heads[i] |= 1 << j
+            tails[j] |= 1 << i
+    # y-arc i → k when a non-far-corner half of detached class k sees both
+    # halves of class i; a class with no far corner may offer both halves,
+    # and counts once
+    y_mids = _bits(u for cls in y_nodes for u in cls) & ~far_corners
+    open_pairs = [(p, q) for p, q in y_nodes if not (far_corners >> p | far_corners >> q) & 1]
+
     arcs = []
+    offers = []
     for i in range(len(x_nodes)):
-        c = corner[i]
-        for j in range(len(x_nodes)):
-            if j != i and both[j] >> c & 1:
-                arcs.append(BridgeArc(i, ("x", j), inner[j]))
+        budget = len(bridged[i]) + len(droppable[i])
         mids = both[i] & ~far_corners
-        for k, (p, q) in enumerate(y_nodes):  # the lower mid first
-            if mids >> p & 1:
-                arcs.append(BridgeArc(i, ("y", k), p))
-            elif mids >> q & 1:
-                arcs.append(BridgeArc(i, ("y", k), q))
+        n_y = (mids & y_mids).bit_count()
+        if open_pairs:
+            n_y -= sum(mids >> p & mids >> q & 1 for p, q in open_pairs)
+        offers.append(heads[i].bit_count() + n_y)
+
+        x_kept, y_kept = _kept_arcs(budget, heads[i] & ~tails[i], heads[i] & tails[i], n_y)
+        for j in iter_bits(x_kept):
+            arcs.append(BridgeArc(i, ("x", j), inner[j]))
+        if y_kept:
+            for k, (p, q) in enumerate(y_nodes):  # the lower mid first
+                if mids >> p & 1:
+                    arcs.append(BridgeArc(i, ("y", k), p))
+                elif mids >> q & 1:
+                    arcs.append(BridgeArc(i, ("y", k), q))
+                else:
+                    continue
+                y_kept -= 1
+                if not y_kept:
+                    break
 
     return BridgeDigraph(
         owner=v,
@@ -169,6 +248,7 @@ def build_bridge_digraph(
         bridged=tuple(bridged),
         droppable=tuple(droppable),
         settled=tuple(settled),
+        offers=tuple(offers),
     )
 
 
@@ -177,7 +257,7 @@ def audit_out_degree(d: BridgeDigraph) -> list[str]:
     bad = []
     for i, cls in enumerate(d.x_nodes):
         need = len(d.bridged[i]) + len(d.droppable[i])
-        have = len(d.out_arcs(i))
+        have = d.offers[i]
         if have < need:
             bad.append(f"class {cls} offers {have} arcs for {need} corners")
     return bad
@@ -186,39 +266,49 @@ def audit_out_degree(d: BridgeDigraph) -> list[str]:
 def restrict_out_degree(d: BridgeDigraph) -> BridgeDigraph:
     """Trim every node to exactly as many arcs as it has non-settled corners.
 
-    Arcs whose reverse also exists are kept last so that as few conflicting
-    pairs as possible survive; any selection would be correct.
+    The kept arcs are chosen by ``_kept_arcs``.  A digraph already within
+    budget, as ``build_bridge_digraph`` returns it, comes back as it is.
     """
-    arc_set = {(a.tail, a.head) for a in d.arcs}
-
-    def mutual(a: BridgeArc) -> bool:
-        return a.head[0] == "x" and (a.head[1], ("x", a.tail)) in arc_set
-
     keep: list[int] = []
     for i in range(len(d.x_nodes)):
         budget = len(d.bridged[i]) + len(d.droppable[i])
-        mine = sorted(d.out_arcs(i), key=lambda k: (mutual(d.arcs[k]), k))
+        mine = d.out_arcs(i)
         if len(mine) < budget:
             raise CertificateError(
                 "arc budget below the out-degree guarantee",
                 dump={"class": d.x_nodes[i], "arcs": len(mine), "budget": budget},
             )
-        keep.extend(sorted(mine[:budget]))
+        if len(mine) == budget:
+            keep.extend(mine)
+            continue
+        x_at, ys = {}, []
+        for k in mine:
+            kind, j = d.arcs[k].head
+            if kind == "x":
+                x_at[j] = k
+            else:
+                ys.append(k)
+        mutual = _bits(j for j in x_at if (j, ("x", i)) in d.arc_index)
+        x_kept, y_kept = _kept_arcs(budget, _bits(x_at) & ~mutual, mutual, len(ys))
+        keep.extend(x_at[j] for j in iter_bits(x_kept))
+        keep.extend(ys[:y_kept])
+    if len(keep) == len(d.arcs):
+        return d
     arcs = tuple(d.arcs[k] for k in sorted(keep))
     return BridgeDigraph(
         d.owner, d.x_nodes, d.y_nodes, d.y_corners, d.inner, d.corner,
-        arcs, d.bridged, d.droppable, d.settled,
+        arcs, d.bridged, d.droppable, d.settled, d.offers,
     )
 
 
 def mutual_graph(d: BridgeDigraph) -> Multigraph:
     """The conflict graph: one edge per pair of opposite arcs."""
-    arc_set = {(a.tail, a.head) for a in d.arcs}
+    index = d.arc_index
     pairs = sorted(
         {
             (min(a.tail, a.head[1]), max(a.tail, a.head[1]))
             for a in d.arcs
-            if a.head[0] == "x" and (a.head[1], ("x", a.tail)) in arc_set
+            if a.head[0] == "x" and (a.head[1], ("x", a.tail)) in index
         }
     )
     return Multigraph(len(d.x_nodes), pairs)
@@ -270,7 +360,7 @@ def assign_bridges(
     """
     h = mutual_graph(d)
     y_of = d.y_corners
-    arc_at = {(a.tail, a.head): k for k, a in enumerate(d.arcs)}
+    arc_at = d.arc_index
     state = ["free"] * len(d.arcs)
     detour: dict[int, int] = {}
     routes: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -405,28 +495,6 @@ def construct_immersion(g: Multigraph) -> Immersion:
             dump={"failures": report.failures[:6], "n": g.n, "edges": list(g.edges)},
         )
     return imm
-
-
-def _two_paths(key: tuple[int, int]) -> CertificateError:
-    return CertificateError("two paths for one corner pair", dump={"pair": key})
-
-
-def _join_directly(g: Multigraph, pairs, used: set[int], paths: dict) -> None:
-    """The direct-edge lane: join each vertex pair by its lowest unused edge.
-
-    Each path is stored under its sorted pair as a one-edge tuple; a pair
-    that already has a path is a broken contract.
-    """
-    free_edge = g.free_edge
-    for u, w in pairs:
-        key = (u, w) if u < w else (w, u)
-        if key in paths:
-            raise _two_paths(key)
-        e = free_edge(key, used)
-        if e is None:
-            raise _no_free_edge(g, u, w)
-        used.add(e)
-        paths[key] = (e,)
 
 
 def _immerse_part(

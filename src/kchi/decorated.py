@@ -106,7 +106,9 @@ def critical_colouring(g: Multigraph, palette: int, regions: RegionPartition) ->
 
     Requires ``|free_x| + |reserve_x| ≥ d(x)`` for every vertex x.
     Colours are processed in ascending order; all choices are deterministic
-    (lowest qualifying vertex, scan order along the canonical cycle).
+    (lowest qualifying vertex, scan order along the canonical cycle).  Once
+    the edges run out, the remaining colours are not stepped through: each
+    marks every vertex, as a step on the empty graph would.
 
     The covering priority almost always keeps marked vertices pairwise
     non-adjacent, but rare configurations force a clash.  Those are retried
@@ -160,6 +162,12 @@ def _colouring_attempt(
     marked = 0  # bitmask of the vertices left uncovered so far
 
     for c in range(palette):
+        if not solver.count:
+            # no edge left: every later step would mark every vertex
+            everyone = frozenset(range(g.n))
+            for rest in range(c, palette):
+                uncovered_at[rest] = everyone
+            break
         # Leaving a neighbour of an already-marked vertex uncovered would
         # break the marking invariant, so such vertices are covered first;
         # after that, covering high-degree vertices keeps future marks on

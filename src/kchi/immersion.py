@@ -236,6 +236,35 @@ def _no_free_edge(g: Multigraph, u: int, w: int) -> CertificateError:
     )
 
 
+def _missing_edge(route: tuple[int, ...], gap: tuple[int, int]) -> CertificateError:
+    return CertificateError(
+        "required edge missing from the host graph", dump={"route": route, "gap": gap}
+    )
+
+
+def _two_paths(key: tuple[int, int]) -> CertificateError:
+    return CertificateError("two paths for one corner pair", dump={"pair": key})
+
+
+def _join_directly(g: Multigraph, pairs, used: set[int], paths: dict) -> None:
+    """The direct-edge lane: join each vertex pair by its lowest unused edge.
+
+    Each path is stored under its sorted pair as a one-edge tuple.  A pair
+    that already has a path, has no edge at all, or has every copy spent
+    is a broken contract.
+    """
+    free_edge = g.free_edge
+    for u, w in pairs:
+        key = (u, w) if u < w else (w, u)
+        if key in paths:
+            raise _two_paths(key)
+        e = free_edge(key, used)
+        if e is None:
+            raise _no_free_edge(g, u, w) if g.has_edge(u, w) else _missing_edge((u, w), (u, w))
+        used.add(e)
+        paths[key] = (e,)
+
+
 def _take_edge(g: Multigraph, u: int, w: int, used: set[int]) -> int:
     """Reserve one untouched edge identity between u and w."""
     e = g.free_edge((u, w) if u < w else (w, u), used)
@@ -350,28 +379,22 @@ def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
 
     used: set[int] = set()
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def connect(route: tuple[int, ...]) -> None:
-        for t in range(len(route) - 1):
+    singles = col.singletons
+    halves = [(labels[cls], inner[cls]) for cls in col.attached]
+    direct = list(combinations(singles, 2)) + [(a, c) for a in singles for c, _ in halves]
+    routes = []
+    for (ca, ia), (cb, ib) in combinations(halves, 2):
+        if g.has_edge(ca, cb):
+            direct.append((ca, cb))
+        else:  # non-adjacent corners walk through the two inner halves
+            routes.append((ca, ib, ia, cb))
+    _join_directly(g, direct, used, paths)
+    for route in routes:
+        for t in range(3):
             if not g.has_edge(route[t], route[t + 1]):
-                raise CertificateError(
-                    "required edge missing from the host graph",
-                    dump={"route": route, "gap": (route[t], route[t + 1])},
-                )
+                raise _missing_edge(route, (route[t], route[t + 1]))
         key, ids = _as_path(g, route, used)
         paths[key] = ids
-
-    for u, w in combinations(col.singletons, 2):
-        connect((u, w))
-    for a in col.singletons:
-        for cls in col.attached:
-            connect((a, labels[cls]))
-    for cls_a, cls_b in combinations(col.attached, 2):
-        ca, cb = labels[cls_a], labels[cls_b]
-        if g.has_edge(ca, cb):
-            connect((ca, cb))
-        else:
-            connect((ca, inner[cls_b], inner[cls_a], cb))
 
     return Immersion(corners, paths, faithful_to=col)
 

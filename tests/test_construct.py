@@ -8,6 +8,7 @@ import kchi.construct
 from kchi.construct import (
     BridgeArc,
     BridgeDigraph,
+    _immerse,
     assign_bridges,
     audit_out_degree,
     build_bridge_digraph,
@@ -271,6 +272,35 @@ class TestBridgeDigraph:
         assert list(mutual_graph(d).edges) == [(0, 1), (1, 2)]
 
 
+# A host with an independent triple ({0, 2, 6}), whose colouring still passes
+# the structural audits: class {0, 1} (corner 1) owned by 8 needs bridges to
+# the far corners 3 and 7 but offers a single detour, through vertex 4.
+SHORT_HOST = Multigraph(
+    9,
+    [(1, 8)] + [(x, 8) for x in range(2, 8)]
+    + [(0, 3), (0, 4), (1, 4), (0, 5), (1, 5), (0, 7)]
+    + [(a, b) for a in range(2, 8) for b in range(a + 1, 8) if a // 2 != b // 2],
+)
+
+
+class TestOutDegreeShortfall:
+    def colouring(self):
+        return _with_split(SHORT_HOST, [(8,), (0, 1), (2, 3), (4, 5), (6, 7)])
+
+    def test_offers_are_counted_before_the_budget_cut(self):
+        d = build_bridge_digraph(SHORT_HOST, self.colouring(), 8, (3, 5, 7))
+        assert d.bridged == (frozenset({3, 7}),) and d.settled == (frozenset({5}),)
+        assert d.arcs == (BridgeArc(0, ("y", 1), 4),)
+        assert audit_out_degree(d) == ["class (0, 1) offers 1 arcs for 2 corners"]
+
+    def test_immerse_stops_at_the_audit(self):
+        with pytest.raises(CertificateError, match="bridge digraph below its degree guarantee") as err:
+            _immerse(SHORT_HOST, self.colouring(), set(), {})
+        assert err.value.dump == {
+            "owner": 8, "failures": ["class (0, 1) offers 1 arcs for 2 corners"]
+        }
+
+
 def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):
     """Three attached classes with inner halves 10+i and corners 13+i."""
     k = 3
@@ -285,11 +315,50 @@ def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):
         bridged=tuple(map(frozenset, bridged)),
         droppable=tuple(map(frozenset, droppable)),
         settled=tuple(map(frozenset, settled)),
+        offers=tuple(sum(a.tail == i for a in arcs) for i in range(k)),
     )
 
 
 def x_arcs(*pairs):
     return [BridgeArc(i, ("x", j), 10 + j) for i, j in pairs]
+
+
+class TestRestrictOutDegree:
+    # node 0 offers x-arcs to 1 and 2 (both mutual) and both y-arcs, node 1
+    # an x-arc to 0 and a y-arc, node 2 x-arcs to 0 and to 1 (plain)
+    ARCS = (
+        x_arcs((0, 1), (0, 2)) + [BridgeArc(0, ("y", 0), 18), BridgeArc(0, ("y", 1), 19)]
+        + x_arcs((1, 0)) + [BridgeArc(1, ("y", 1), 19)] + x_arcs((2, 0), (2, 1))
+    )
+
+    def test_plain_arcs_are_kept_before_mutual_ones(self):
+        d = toy_digraph(self.ARCS, [{20}, {20}, {20}], [{21}, set(), set()], [set(), {21}, {21}])
+        r = restrict_out_degree(d)
+        assert r.arcs == (
+            BridgeArc(0, ("y", 0), 18), BridgeArc(0, ("y", 1), 19),
+            BridgeArc(1, ("y", 1), 19), BridgeArc(2, ("x", 1), 11),
+        )
+        assert r.offers == d.offers == (4, 2, 2)
+        assert mutual_graph(r).m == 0
+
+    def test_lowest_mutual_arcs_fill_what_is_left(self):
+        d = toy_digraph(self.ARCS, [{20, 21}, {20, 21}, {20}], [{19}, set(), set()], [set(), set(), {21}])
+        r = restrict_out_degree(d)
+        assert r.arcs == (
+            BridgeArc(0, ("x", 1), 11), BridgeArc(0, ("y", 0), 18), BridgeArc(0, ("y", 1), 19),
+            BridgeArc(1, ("x", 0), 10), BridgeArc(1, ("y", 1), 19), BridgeArc(2, ("x", 1), 11),
+        )
+        assert list(mutual_graph(r).edges) == [(0, 1)]
+
+    def test_digraph_within_budget_comes_back_as_it_is(self):
+        d = toy_digraph(self.ARCS, [{20, 21}, {20, 21}, {20, 21}], [{18, 19}, set(), set()], [set()] * 3)
+        assert restrict_out_degree(d) is d
+
+    def test_under_budget_node_is_refused(self):
+        d = toy_digraph(x_arcs((0, 1), (1, 0)), [{20}, {20, 21}, set()], [set()] * 3, [{21}, set(), {20, 21}])
+        with pytest.raises(CertificateError, match="arc budget below the out-degree guarantee") as err:
+            restrict_out_degree(d)
+        assert err.value.dump == {"class": (11, 14), "arcs": 1, "budget": 2}
 
 
 class TestAssignBridges:

@@ -8,6 +8,7 @@ from kchi.decorated import (
     DecoratedColouring,
     RegionPartition,
     _repair_cycle,
+    _step_audit,
     critical_colouring,
     validate_decorated,
 )
@@ -133,6 +134,36 @@ class TestCriticalColouring:
         assert dec.colour_of == {}
         assert dec.uncovered_at[0] == frozenset({0, 1, 2})
         assert validate_decorated(g, reg, dec).ok
+
+    def test_edgeless_graph_longer_palette(self):
+        # no edge at any step: every colour marks every vertex
+        g = Multigraph(4, [])
+        reg = all_free(5, 4)
+        dec = critical_colouring(g, 5, reg)
+        everyone = frozenset(range(4))
+        assert dec == DecoratedColouring({}, {}, {}, {c: everyone for c in range(5)})
+        assert validate_decorated(g, reg, dec).ok
+
+    def test_edges_run_out_before_the_palette(self):
+        # K_{1,3} with six colours: the star is spent after three steps, and
+        # the last three colours leave every vertex unspanned
+        g = star(3)
+        everyone = frozenset(range(4))
+        expected = DecoratedColouring(
+            {}, {}, {0: 0, 1: 1, 2: 2},
+            {0: frozenset({2, 3}), 1: frozenset({1, 3}), 2: frozenset({1, 2}),
+             3: everyone, 4: everyone, 5: everyone},
+        )
+        mixed = RegionPartition.from_sets(
+            6,
+            [{0, 1, 2, 3}, {1, 5}, {0}, {2, 3, 4}],
+            [{4}, {0}, {1, 2}, {5}],
+            [{5}, {2, 3, 4}, {3, 4, 5}, {0, 1}],
+        )
+        for reg in (all_free(6, 4), mixed):
+            dec = critical_colouring(g, 6, reg)
+            assert dec == expected
+            assert validate_decorated(g, reg, dec).ok
 
     def test_empty_graph_empty_palette(self):
         g = Multigraph(0, [])
@@ -351,6 +382,82 @@ class TestValidateDecorated:
         report = validate_decorated(g, all_free(2, 3), dec)
         assert not report.ok
         assert any("assigned nowhere" in f for f in report.failures)
+
+
+class TestStepAudit:
+    """Tampered decorations: every per-step failure string, in its order."""
+
+    def test_k4_with_moved_edges_and_stray_marks(self):
+        g = complete(4)
+        reg = all_free(3, 4)
+        colour_of = {1: 0, 4: 0, 0: 2, 5: 7, 2: 2, 3: 2}
+        marks = {0: frozenset({0, 1}), 9: frozenset({2}), -1: frozenset(), 2: frozenset({0, 3})}
+        dec = DecoratedColouring({}, {}, colour_of, marks)
+        step = [
+            "marking recorded for unknown colour 9",
+            "marking recorded for unknown colour -1",
+            "marked vertices 0 (step 0) and 1 (step 0) joined by edge 0 still alive then",
+            "marked vertices 0 (step 2) and 1 (step 0) joined by edge 0 still alive then",
+            "marked vertices 0 (step 0) and 3 (step 2) joined by edge 2 still alive then",
+            "marked vertices 0 (step 2) and 3 (step 2) joined by edge 2 still alive then",
+            "step 1: vertex 0 has full degree but is unspanned",
+            "step 1: vertex 1 has full degree but is unspanned",
+            "step 1: vertex 2 has full degree but is unspanned",
+            "step 1: vertex 3 has full degree but is unspanned",
+            "after step 1: unmarked vertex 2 has degree 2 above its remaining free+reserve 1",
+            "after step 1: unmarked vertex 3 has degree 2 above its remaining free+reserve 1",
+            "after step 2: unmarked vertex 2 has degree 1 above its remaining free+reserve 0",
+        ]
+        assert _step_audit(g, reg, dec) == step
+        assert validate_decorated(g, reg, dec).failures == [
+            "colour 2: component (0, 1, 2, 3) is neither an edge nor an odd cycle",
+            "f colour 7 outside the palette",
+        ] + step
+
+    def test_mixed_regions_with_a_reserve_tag(self):
+        g = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 2)])
+        reg = RegionPartition.from_sets(
+            4,
+            [{0, 1}, {0, 1, 2}, {2, 3}, {0}, {1, 2, 3}],
+            [{2}, {3}, {0}, {1, 2}, set()],
+            [{3}, set(), {1}, {3}, {0}],
+        )
+        assert validate_decorated(g, reg, critical_colouring(g, 4, reg)).ok
+        dec = DecoratedColouring(
+            {4: (1, 3)}, {}, {0: 3, 1: 0, 2: 1, 3: -2},
+            {1: frozenset({0, 4}), 0: frozenset({4, 2}), 3: frozenset({2, 3, 4})},
+        )
+        step = [
+            "step 2: vertex 1 has full degree but is unspanned",
+            "after step 2: unmarked vertex 1 has degree 2 above its remaining free+reserve 1",
+            "after step 2: unmarked vertex 3 has degree 1 above its remaining free+reserve 0",
+            "step 3: vertex 3 has full degree but is unspanned",
+            "step 3: vertex 4 has full degree but is unspanned",
+        ]
+        assert _step_audit(g, reg, dec) == step
+        assert validate_decorated(g, reg, dec).failures == [
+            "α vertex 1 not isolated in colour class 3",
+            "f colour -2 outside the palette",
+        ] + step
+
+    def test_repeated_marks_in_descending_order(self):
+        g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+        reg = all_free(3, 3)
+        dec = DecoratedColouring(
+            {}, {}, {0: 5, 1: 0, 2: 1},
+            {2: frozenset({0, 1, 2}), 1: frozenset({0}), 0: frozenset({1, 2})},
+        )
+        step = [
+            "marked vertices 0 (step 2) and 1 (step 2) joined by edge 0 still alive then",
+            "marked vertices 0 (step 2) and 1 (step 0) joined by edge 0 still alive then",
+            "marked vertices 0 (step 1) and 1 (step 2) joined by edge 0 still alive then",
+            "marked vertices 0 (step 1) and 1 (step 0) joined by edge 0 still alive then",
+            "marked vertices 1 (step 0) and 2 (step 0) joined by edge 2 still alive then",
+            "step 2: vertex 0 has full degree but is unspanned",
+            "step 2: vertex 1 has full degree but is unspanned",
+        ]
+        assert _step_audit(g, reg, dec) == step
+        assert validate_decorated(g, reg, dec).failures == ["f colour 5 outside the palette"] + step
 
 
 class TestCampaign:

@@ -12,6 +12,7 @@ from kchi.immersion import (
     Immersion,
     PairColouring,
     _count_gap,
+    _faithful_immersion,
     _grouped_by_owner,
     _with_split,
     audit_double_nonedge,
@@ -191,6 +192,24 @@ class TestFaithfulImmersion:
         col = _with_split(g, [(0,), (1,), (2,), (3,), (4,)])
         with pytest.raises(PremiseError, match="optimal"):
             faithful_immersion(g, col)
+
+    @pytest.mark.parametrize(
+        "n, edges, classes, dump",
+        [
+            # two singletons with no edge between them
+            (3, [(0, 1)], [(0,), (1,), (2,)], {"route": (0, 2), "gap": (0, 2)}),
+            # a singleton that misses the corner of a class another one owns
+            (4, [(0, 1), (0, 2)], [(0,), (1,), (2, 3)], {"route": (1, 2), "gap": (1, 2)}),
+            # non-adjacent corners whose inner halves are non-adjacent too
+            (5, [(0, 1), (0, 3), (1, 4), (2, 3)], [(0,), (1, 2), (3, 4)],
+             {"route": (1, 4, 2, 3), "gap": (4, 2)}),
+        ],
+    )
+    def test_missing_edge_is_named(self, n, edges, classes, dump):
+        g = Multigraph(n, edges)
+        with pytest.raises(CertificateError, match="required edge missing from the host graph") as err:
+            _faithful_immersion(g, _with_split(g, classes))
+        assert err.value.dump == dump
 
     def test_random_instances_verify(self):
         rng = random.Random(909)

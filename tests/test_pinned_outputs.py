@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 
+import kchi.construct
 from kchi.colouring import cycle_matching_colouring
 from kchi.construct import construct_immersion
 from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph
@@ -20,6 +21,7 @@ from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph
 SMALL_CERTIFICATES = "6e9ca2127d5215284930238071adce5d36bcdede8a242997bea19b2505b83353"
 LARGE_CERTIFICATE = "1d47732bc3c5df00774bc8735282bf96dfb186dfd1bc00645e3d5f5bd3d5f94f"
 COLOURINGS = "36ecab7ce78595377ee28d7dbf6cb067fbd8bf7766ff2d83843efd3ef6605e8a"
+BRIDGE_STAGES = "e42b38901f54378d45bd241ea3335fad80b416f8a812d4a4ae9cabd42ecf09ae"
 
 
 def small_certificates_digest() -> str:
@@ -49,6 +51,39 @@ def colourings_digest() -> str:
     return h.hexdigest()
 
 
+def bridge_stages_digest() -> str:
+    """sha256 over what ``assign_bridges`` is handed, per owner, while constructing
+    200 seeded ``gen_alpha2`` graphs (n ≤ 60) and ``gen_alpha2(601, 0.8, 912151271)``:
+    the restricted bridge digraph and the decorated colouring of its conflict graph.
+    """
+    h = hashlib.sha256()
+    original = kchi.construct.assign_bridges
+
+    def spy(d, dec):
+        h.update(json.dumps([
+            d.x_nodes,
+            d.arcs,
+            [sorted(s) for s in d.bridged],
+            [sorted(s) for s in d.droppable],
+            [sorted(s) for s in d.settled],
+            sorted(dec.reserved.items()),
+            sorted(dec.relief.items()),
+            sorted(dec.colour_of.items()),
+            sorted((c, sorted(xs)) for c, xs in dec.uncovered_at.items()),
+        ]).encode() + b"\n")
+        return original(d, dec)
+
+    rng = random.Random(20260)
+    specs = [(1 + i % 60, rng.random(), rng.randrange(2**32)) for i in range(200)]
+    kchi.construct.assign_bridges = spy
+    try:
+        for n, density, seed in specs + [(601, 0.8, 912151271)]:
+            construct_immersion(gen_alpha2(n, density, seed))
+    finally:
+        kchi.construct.assign_bridges = original
+    return h.hexdigest()
+
+
 def test_small_certificates_are_pinned():
     assert small_certificates_digest() == SMALL_CERTIFICATES
 
@@ -61,7 +96,12 @@ def test_colourings_are_pinned():
     assert colourings_digest() == COLOURINGS
 
 
+def test_bridge_stages_are_pinned():
+    assert bridge_stages_digest() == BRIDGE_STAGES
+
+
 if __name__ == "__main__":
     print("SMALL_CERTIFICATES =", repr(small_certificates_digest()))
     print("LARGE_CERTIFICATE =", repr(large_certificate_digest()))
     print("COLOURINGS =", repr(colourings_digest()))
+    print("BRIDGE_STAGES =", repr(bridge_stages_digest()))
