@@ -20,7 +20,6 @@ from kchi.construct import (
     audit_out_degree,
     build_bridge_digraph,
     decorated_regions,
-    mutual_graph,
     restrict_out_degree,
 )
 from kchi.decorated import critical_colouring
@@ -58,14 +57,14 @@ for i, cls in enumerate(d.x_nodes):
     )
 print(f"  arcs: {[(a.tail, a.head, a.mid) for a in d.arcs]}")
 
-# stage 2: every class must offer at least its budget; the build kept
-# exactly the budget, so restricting the out-degrees changes nothing
+# stage 2: every class must offer at least its budget, and the build must
+# have kept exactly that budget (the check passes the digraph through)
 assert audit_out_degree(d) == []
 assert restrict_out_degree(d) is d
 
 # stage 3: opposite arc pairs form the conflict graph; far-corner types
 # become the palette regions for its decorated colouring
-h = mutual_graph(d)
+h = d.conflict
 regions = decorated_regions(d)
 print(f"\nconflict graph on {h.n} classes: edges {list(h.edges)}")
 for i in range(h.n):

@@ -72,6 +72,17 @@ fi
 echo "rejected as bad input (exit $status)"
 
 echo
+echo '# a malformed JSON graph document is bad input too, exit code 2'
+for doc in '{' '{"n": 3}'; do
+    status=0
+    echo "$doc" | kchi immerse - > /dev/null || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "BUG: graph document $doc gave exit $status, not 2"; exit 1
+    fi
+    echo "$doc: rejected as bad input (exit $status)"
+done
+
+echo
 echo '# edge colouring within the maximum degree, with class breakdown'
 kchi gen doubled cycle 5 | kchi colour --r 2 -
 

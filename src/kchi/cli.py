@@ -56,9 +56,32 @@ def _read_text(path: str) -> str:
 def _read_graph(path: str) -> Multigraph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):  # a gen --format json document
-        doc = json.loads(text)
-        return Multigraph(doc["n"], [tuple(e) for e in doc["edges"]])
+        return _graph_from_json(text)
     return parse_edge_list(text)
+
+
+def _graph_from_json(text: str) -> Multigraph:
+    """The graph of a ``{"n": ..., "edges": [[u, v], ...]}`` document.
+
+    ``n`` and every endpoint must be plain integers (not ``true``/``false``);
+    anything malformed raises ``GraphError``.  Text that starts with ``{``
+    and parses is always an object.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"graph document is not valid JSON: {exc}") from None
+    if "n" not in doc or "edges" not in doc:
+        raise GraphError("graph document needs the fields n and edges")
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int:
+        raise GraphError(f"graph document: n must be an integer, got {n!r}")
+    if type(edges) is not list or not all(
+        type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+        for e in edges
+    ):
+        raise GraphError("graph document: edges must be a list of [u, v] integer pairs")
+    return Multigraph(n, map(tuple, edges))
 
 
 def _print_json(doc) -> None:

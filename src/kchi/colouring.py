@@ -17,9 +17,10 @@ works with the general definition, so even cycles count as valid classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CertificateError, PremiseError, SizeGuardError
-from .factor import _FactorSolver
+from .factor import _edge_handout, _FactorSolver, _solver_for
 from .graphs import Multigraph, components_of
 from .reporting import ValidityReport
 
@@ -36,27 +37,9 @@ class CycleMatchingColouring:
         return out
 
 
-def _solver_for(g: Multigraph) -> _FactorSolver:
-    return _FactorSolver(
-        g.n, {(u, v): g.multiplicity(u, v) for u, v in g.support_pairs()}
-    )
-
-
-def _extract_ocm(g: Multigraph, solver: _FactorSolver, taken: dict[tuple[int, int], int]) -> list[int]:
-    """One spanning ocm set, as edge ids of ``g``; consumes solver state.
-
-    ``taken[pair]`` counts the edge ids already consumed on that pair, so
-    parallel edges are handed out lowest-identity first.
-    """
+def _extract_ocm(solver: _FactorSolver, take: Callable[[int, int], int]) -> list[int]:
+    """One spanning ocm set, as edge ids handed out by ``take``; consumes solver state."""
     res = solver.solve()
-
-    def take(u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = taken.get(key, 0)
-        taken[key] = idx + 1
-        solver.remove_copy(u, v)
-        return g.edge_ids_between(u, v)[idx]
-
     out = [take(u, v) for u, v in res.two_cycles]
     for cyc in res.odd_cycles:
         out.extend(take(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
@@ -69,7 +52,8 @@ def spanning_ocm_set(g: Multigraph) -> frozenset[int]:
     """
     if g.max_degree() == 0:
         raise PremiseError("an edgeless graph has no spanning ocm set")
-    return frozenset(_extract_ocm(g, _solver_for(g), {}))
+    solver = _solver_for(g)
+    return frozenset(_extract_ocm(solver, _edge_handout(g, solver)))
 
 
 def cycle_matching_colouring(g: Multigraph, r: int = 2) -> CycleMatchingColouring:
@@ -82,7 +66,7 @@ def cycle_matching_colouring(g: Multigraph, r: int = 2) -> CycleMatchingColourin
         raise PremiseError(f"r-bounded regular colouring requires r ≥ 2, got {r}")
 
     solver = _solver_for(g)
-    taken: dict[tuple[int, int], int] = {}
+    take = _edge_handout(g, solver)
     colour_of: dict[int, int] = {}
     delta = g.max_degree()
     colour = 0
@@ -94,7 +78,7 @@ def cycle_matching_colouring(g: Multigraph, r: int = 2) -> CycleMatchingColourin
                 dump={"n": g.n, "edges": list(g.edges)},
             )
         prev = max(solver.deg, default=0)
-        ids = _extract_ocm(g, solver, taken)
+        ids = _extract_ocm(solver, take)
         now = max(solver.deg, default=0)
         if not ids or now >= prev:
             raise CertificateError(

@@ -13,15 +13,15 @@ through non-corner vertices.
 Bridges are rationed through an auxiliary digraph whose arcs encode the
 available length-2 detours between a class's inner half and its corner.  Each
 class may keep one arc per far corner that is not settled by two direct
-edges; the digraph is built with only the arcs within that budget (detours
+edges; the digraph is built with exactly the arcs within that budget (detours
 whose reverse is absent first), and it records how many detours each class
 offers in all, which is what the out-degree audit checks.  Two opposite arcs
 would reuse the same inner-inner edge, so the double arcs form a conflict
-graph that is handed to the decorated cycle-matching colouring; its
-reserve/relief certificates say which arc of each conflicting pair to drop,
-reroute or share, after which every remaining corner pair takes its lowest
-free arc.  All of this is per construction step, and costs time in
-proportion to the arcs kept, not to the detours offered.
+graph (``BridgeDigraph.conflict``) that is handed to the decorated
+cycle-matching colouring; its reserve/relief certificates say which arc of
+each conflicting pair to drop, reroute or share, after which every remaining
+corner pair takes its lowest free arc.  All of this is per construction step,
+and costs time in proportion to the arcs kept, not to the detours offered.
 
 Each recursion level proves its colouring optimal exactly once, with one
 blossom matching: the top level reuses the colouring of ``chi_alpha2`` and
@@ -101,7 +101,8 @@ class BridgeDigraph:
 
     Node i's arc budget is ``len(bridged[i]) + len(droppable[i])``, and
     ``offers[i]`` counts every detour node i has.  ``arcs`` may list fewer:
-    ``build_bridge_digraph`` lists only the arcs within budget.
+    ``build_bridge_digraph`` lists exactly the budget of each node, and
+    ``restrict_out_degree`` checks that it did.
     """
 
     owner: int
@@ -132,6 +133,19 @@ class BridgeDigraph:
         """Each arc's index, keyed by (tail, head)."""
         return {(a.tail, a.head): k for k, a in enumerate(self.arcs)}
 
+    @cached_property
+    def conflict(self) -> Multigraph:
+        """The conflict graph on the nodes: one edge per pair of opposite arcs."""
+        index = self.arc_index
+        pairs = sorted(
+            {
+                (min(a.tail, a.head[1]), max(a.tail, a.head[1]))
+                for a in self.arcs
+                if a.head[0] == "x" and (a.head[1], ("x", a.tail)) in index
+            }
+        )
+        return Multigraph(len(self.x_nodes), pairs)
+
 
 def _lowest_bits(mask: int, count: int) -> int:
     """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
@@ -144,30 +158,16 @@ def _lowest_bits(mask: int, count: int) -> int:
     return out
 
 
-def _kept_arcs(budget: int, plain: int, mutual: int, n_y: int) -> tuple[int, int]:
-    """Which of a node's arcs stay within its budget.
-
-    ``plain`` and ``mutual`` are the masks of the node's x-arc heads whose
-    reverse is absent and present, and ``n_y`` counts its y-arcs.  Plain
-    x-arcs are kept first, then y-arcs, then mutual x-arcs, so that as few
-    conflicting pairs as possible survive; any selection would be correct.
-    Returns the mask of kept x-arc heads (the lowest of each kind) and how
-    many of the lowest y-arcs are kept.
-    """
-    room = max(budget - plain.bit_count(), 0)
-    y_kept = min(n_y, room)
-    return _lowest_bits(plain, budget) | _lowest_bits(mutual, room - y_kept), y_kept
-
-
 def build_bridge_digraph(
     g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
 ) -> BridgeDigraph:
     """Assemble the detour digraph of owner ``v`` against the far corners.
 
     Every detour is counted in ``offers``, but only the arcs within each
-    node's budget are built, chosen by ``_kept_arcs``, the rule
-    ``restrict_out_degree`` trims by; x-arcs are listed before y-arcs, by
-    head and by detached class.
+    node's budget are built.  Plain x-arcs (whose reverse is absent) are kept
+    first, then y-arcs, then mutual x-arcs, each kind lowest first, so that
+    as few conflicting pairs as possible survive; any selection would be
+    correct.  x-arcs are listed before y-arcs, by head and by detached class.
     """
     if v not in col.singletons:
         raise PremiseError(f"owner {v} is not a singleton class")
@@ -222,7 +222,10 @@ def build_bridge_digraph(
             n_y -= sum(mids >> p & mids >> q & 1 for p, q in open_pairs)
         offers.append(heads[i].bit_count() + n_y)
 
-        x_kept, y_kept = _kept_arcs(budget, heads[i] & ~tails[i], heads[i] & tails[i], n_y)
+        plain = heads[i] & ~tails[i]
+        room = max(budget - plain.bit_count(), 0)
+        y_kept = min(n_y, room)
+        x_kept = _lowest_bits(plain, budget) | _lowest_bits(heads[i] & tails[i], room - y_kept)
         for j in iter_bits(x_kept):
             arcs.append(BridgeArc(i, ("x", j), inner[j]))
         if y_kept:
@@ -264,54 +267,23 @@ def audit_out_degree(d: BridgeDigraph) -> list[str]:
 
 
 def restrict_out_degree(d: BridgeDigraph) -> BridgeDigraph:
-    """Trim every node to exactly as many arcs as it has non-settled corners.
+    """Check that every node holds exactly its budget of arcs, and return ``d``.
 
-    The kept arcs are chosen by ``_kept_arcs``.  A digraph already within
-    budget, as ``build_bridge_digraph`` returns it, comes back as it is.
+    ``build_bridge_digraph`` builds no arc beyond a node's budget and, once
+    ``audit_out_degree`` passes, no fewer, so this is the build's
+    postcondition; a digraph that breaks it is refused, never trimmed.
     """
-    keep: list[int] = []
-    for i in range(len(d.x_nodes)):
+    for i, cls in enumerate(d.x_nodes):
         budget = len(d.bridged[i]) + len(d.droppable[i])
-        mine = d.out_arcs(i)
-        if len(mine) < budget:
+        have = len(d.out_arcs(i))
+        if have != budget:
             raise CertificateError(
-                "arc budget below the out-degree guarantee",
-                dump={"class": d.x_nodes[i], "arcs": len(mine), "budget": budget},
+                "arc budget below the out-degree guarantee"
+                if have < budget
+                else f"class {cls} holds arcs beyond its budget",
+                dump={"class": cls, "arcs": have, "budget": budget},
             )
-        if len(mine) == budget:
-            keep.extend(mine)
-            continue
-        x_at, ys = {}, []
-        for k in mine:
-            kind, j = d.arcs[k].head
-            if kind == "x":
-                x_at[j] = k
-            else:
-                ys.append(k)
-        mutual = _bits(j for j in x_at if (j, ("x", i)) in d.arc_index)
-        x_kept, y_kept = _kept_arcs(budget, _bits(x_at) & ~mutual, mutual, len(ys))
-        keep.extend(x_at[j] for j in iter_bits(x_kept))
-        keep.extend(ys[:y_kept])
-    if len(keep) == len(d.arcs):
-        return d
-    arcs = tuple(d.arcs[k] for k in sorted(keep))
-    return BridgeDigraph(
-        d.owner, d.x_nodes, d.y_nodes, d.y_corners, d.inner, d.corner,
-        arcs, d.bridged, d.droppable, d.settled, d.offers,
-    )
-
-
-def mutual_graph(d: BridgeDigraph) -> Multigraph:
-    """The conflict graph: one edge per pair of opposite arcs."""
-    index = d.arc_index
-    pairs = sorted(
-        {
-            (min(a.tail, a.head[1]), max(a.tail, a.head[1]))
-            for a in d.arcs
-            if a.head[0] == "x" and (a.head[1], ("x", a.tail)) in index
-        }
-    )
-    return Multigraph(len(d.x_nodes), pairs)
+    return d
 
 
 def decorated_regions(d: BridgeDigraph) -> RegionPartition:
@@ -352,13 +324,13 @@ def assign_bridges(
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """Translate the conflict-graph certificates into one route per (class, corner).
 
-    ``dec`` must come from ``critical_colouring`` on ``mutual_graph(d)`` with
-    ``decorated_regions(d)``; ``d`` must already be restricted.  Returns a
-    vertex route from every bridged far corner to its class corner such that
-    each arc carries at most one route, opposite arcs never both use the
-    inner-inner edge, and reserve tags drop the arcs they name.
+    ``dec`` must come from ``critical_colouring`` on ``d.conflict`` with
+    ``decorated_regions(d)``, and ``d`` must pass ``restrict_out_degree``.
+    Returns a vertex route from every bridged far corner to its class corner
+    such that each arc carries at most one route, opposite arcs never both
+    use the inner-inner edge, and reserve tags drop the arcs they name.
     """
-    h = mutual_graph(d)
+    h = d.conflict
     y_of = d.y_corners
     arc_at = d.arc_index
     state = ["free"] * len(d.arcs)
@@ -598,15 +570,15 @@ def _immerse(
     # pair is one edge; these pairs share no vertex pair with a bridge
     direct = [(a, y) for a in singles for y in y_corners]
     for v in sorted(_grouped_by_owner(col)):
-        d_full = build_bridge_digraph(g, col, v, y_corners)
-        bad = audit_out_degree(d_full)
+        d = build_bridge_digraph(g, col, v, y_corners)
+        bad = audit_out_degree(d)
         if bad:
             raise CertificateError(
                 "bridge digraph below its degree guarantee",
                 dump={"owner": v, "failures": bad[:6]},
             )
-        d = restrict_out_degree(d_full)
-        h = mutual_graph(d)
+        restrict_out_degree(d)
+        h = d.conflict
         regions = decorated_regions(d)
         dec = critical_colouring(h, len(d.y_corners), regions)
         rep = validate_decorated(h, regions, dec)

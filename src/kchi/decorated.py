@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, PremiseError
-from .factor import _FactorSolver
+from .factor import _edge_handout, _solver_for
 from .graphs import Multigraph, components_of
 from .reporting import ValidityReport
 
@@ -63,11 +63,6 @@ class RegionPartition:
         colours = frozenset(range(palette))
         empty = frozenset()
         return cls(palette, (colours,) * n, (empty,) * n, (empty,) * n)
-
-    def premise_holds(self, g: Multigraph) -> bool:
-        return all(
-            len(self.free[x]) + len(self.reserve[x]) >= g.degree(x) for x in range(g.n)
-        )
 
 
 @dataclass(frozen=True)
@@ -140,21 +135,12 @@ def critical_colouring(g: Multigraph, palette: int, regions: RegionPartition) ->
 def _colouring_attempt(
     g: Multigraph, palette: int, regions: RegionPartition, salt: int
 ) -> DecoratedColouring:
-    solver = _FactorSolver(
-        g.n, {(u, v): g.multiplicity(u, v) for u, v in g.support_pairs()}
-    )
-    taken: dict[tuple[int, int], int] = {}
+    solver = _solver_for(g)
+    consume = _edge_handout(g, solver)
     reserved: dict[int, tuple[int, int]] = {}
     relief: dict[int, int] = {}
     colour_of: dict[int, int] = {}
     uncovered_at: dict[int, frozenset[int]] = {}
-
-    def consume(u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = taken.get(key, 0)
-        taken[key] = idx + 1
-        solver.remove_copy(u, v)
-        return g.edge_ids_between(u, v)[idx]
 
     def jitter(v: int) -> int:
         return v if salt == 0 else (v * 2654435761 + salt) % (1 << 32)

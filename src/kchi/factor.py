@@ -54,15 +54,15 @@ def _as_table(f: FSpec, n: int) -> list[int]:
 class DeficiencyPair:
     """A disjoint vertex pair (S, T) with its deficiency value.
 
-    When ``minimal`` is set (and the host graph is even-multiplicity with
-    f ≡ 2), the pair additionally satisfies: T independent, N(T) = S,
-    value = 2|T| - 2|S|, and |N(X) ∩ T| > |X| for every nonempty X ⊆ S.
+    Every producer here returns a containment-minimal maximizer.  On an
+    even-multiplicity host with f ≡ 2 it additionally satisfies: T
+    independent, N(T) = S, value = 2|T| - 2|S|, and |N(X) ∩ T| > |X| for
+    every nonempty X ⊆ S.
     """
 
     s: frozenset[int]
     t: frozenset[int]
     value: int
-    minimal: bool = False
 
 
 @dataclass(frozen=True)
@@ -409,6 +409,31 @@ class _FactorSolver:
         )
 
 
+def _solver_for(g: Multigraph) -> _FactorSolver:
+    """A solver on the doubled copy of ``g``, for the Δ-step inductions."""
+    return _FactorSolver(
+        g.n, {(u, v): g.multiplicity(u, v) for u, v in g.support_pairs()}
+    )
+
+
+def _edge_handout(g: Multigraph, solver: _FactorSolver) -> Callable[[int, int], int]:
+    """``take(u, v)``: remove one live copy of u-v from ``solver``, return its edge id.
+
+    Parallel edges are handed out lowest identity first, across every step
+    of the induction that shares this handout.
+    """
+    taken: dict[tuple[int, int], int] = {}
+
+    def take(u: int, v: int) -> int:
+        key = (u, v) if u < v else (v, u)
+        idx = taken.get(key, 0)
+        taken[key] = idx + 1
+        solver.remove_copy(u, v)
+        return g.edge_ids_between(u, v)[idx]
+
+    return take
+
+
 def _halved_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     counts = {}
     for u, v in g.support_pairs():
@@ -426,9 +451,7 @@ def max_deficiency_pair(g: Multigraph) -> DeficiencyPair:
     """
     solver = _FactorSolver(g.n, _halved_counts(g))
     res = solver.solve()
-    return DeficiencyPair(
-        s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)), minimal=True
-    )
+    return DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
 
 
 def max_f_bounded_subgraph(g: Multigraph) -> tuple[FactorSubgraph, DeficiencyPair]:
@@ -439,9 +462,7 @@ def max_f_bounded_subgraph(g: Multigraph) -> tuple[FactorSubgraph, DeficiencyPai
     """
     solver = _FactorSolver(g.n, _halved_counts(g))
     res = solver.solve()
-    pair = DeficiencyPair(
-        s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)), minimal=True
-    )
+    pair = DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
 
     two = []
     for u, v in res.two_cycles:
@@ -489,7 +510,7 @@ def brute_force_deficiency(g: Multigraph, f: FSpec) -> DeficiencyPair:
 def _pair_from_masks(s_mask: int, t_mask: int, value: int) -> DeficiencyPair:
     s = frozenset(v for v in range(s_mask.bit_length()) if s_mask >> v & 1)
     t = frozenset(v for v in range(t_mask.bit_length()) if t_mask >> v & 1)
-    return DeficiencyPair(s=s, t=t, value=value, minimal=True)
+    return DeficiencyPair(s=s, t=t, value=value)
 
 
 def _brute_even(g: Multigraph, table: list[int]) -> DeficiencyPair:
@@ -526,13 +547,13 @@ def _brute_even(g: Multigraph, table: list[int]) -> DeficiencyPair:
         return len(s) + len(t), s, t
 
     _, s, t = min(map(key, tied))
-    return DeficiencyPair(frozenset(s), frozenset(t), best, minimal=True)
+    return DeficiencyPair(frozenset(s), frozenset(t), best)
 
 
 def _brute_general(g: Multigraph, table: list[int]) -> DeficiencyPair:
     n = g.n
     if n == 0:
-        return DeficiencyPair(frozenset(), frozenset(), 0, minimal=True)
+        return DeficiencyPair(frozenset(), frozenset(), 0)
     mult = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         mult[u][v] += 1

@@ -220,33 +220,6 @@ class Multigraph:
             pairs.append(uv)
         return Multigraph(self.n, pairs)
 
-    def complement(self) -> "Multigraph":
-        if not self.is_simple:
-            raise GraphError("complement is defined for simple graphs only")
-        pairs = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self._mask[u] >> v & 1
-        ]
-        return Multigraph(self.n, pairs)
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Multigraph", dict[int, int], tuple[int, ...]]:
-        """Induced subgraph plus its translation maps.
-
-        Returns ``(sub, vmap, emap)`` where ``vmap`` maps old vertex
-        indices to new ones and ``emap[new_edge] = old_edge``.
-        """
-        keep = sorted(set(vertices))
-        vmap = {v: i for i, v in enumerate(keep)}
-        pairs = []
-        emap = []
-        for e, (u, v) in enumerate(self.edges):
-            if u in vmap and v in vmap:
-                pairs.append((vmap[u], vmap[v]))
-                emap.append(e)
-        return Multigraph(len(keep), pairs), vmap, tuple(emap)
-
 
 def alpha_at_most_2(g: Multigraph) -> bool:
     """True iff the graph has no independent set of three vertices."""

@@ -269,6 +269,26 @@ class TestErrorDiscipline:
         assert doc == {"error": {"type": "RuntimeError", "message": "simulated fault"}}
         assert "Traceback" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            '{"n": 3}',
+            '{"edges": []}',
+            '{"n": 3, "edges": [1]}',
+            '{"n": 1, "edges": {}}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+            '{"n": 3, "edges": [[0.0, 1]]}',
+            '{"n": true, "edges": []}',
+            '{"n": "3", "edges": []}',
+            '{"n": 3, "edges": [[0, true]]}',
+        ],
+    )
+    def test_malformed_graph_document_is_bad_input(self, run, text):
+        code, doc, _ = run("immerse", "-", stdin=text)
+        assert code == 2
+        assert doc["error"]["type"] == "GraphError"
+
     def test_colours_a_long_path(self, run):
         n = 2000
         text = f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))

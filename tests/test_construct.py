@@ -14,7 +14,6 @@ from kchi.construct import (
     build_bridge_digraph,
     construct_immersion,
     decorated_regions,
-    mutual_graph,
     restrict_out_degree,
 )
 from kchi.decorated import DecoratedColouring, critical_colouring, validate_decorated
@@ -238,8 +237,7 @@ class TestBridgeDigraph:
         g, col = self.digraph()
         d = restrict_out_degree(build_bridge_digraph(g, col, 10, (7, 9)))
         assert len(d.arcs) == 6  # budget two per class, all mutual
-        h = mutual_graph(d)
-        assert list(h.edges) == [(0, 1), (0, 2), (1, 2)]
+        assert list(d.conflict.edges) == [(0, 1), (0, 2), (1, 2)]
 
     def test_regions_translate_corner_types(self):
         g, col = self.digraph()
@@ -269,7 +267,7 @@ class TestBridgeDigraph:
             (1, ("x", 0), 0), (1, ("x", 2), 4),
             (2, ("x", 0), 0), (2, ("x", 1), 2),
         ]
-        assert list(mutual_graph(d).edges) == [(0, 1), (1, 2)]
+        assert list(d.conflict.edges) == [(0, 1), (1, 2)]
 
 
 # A host with an independent triple ({0, 2, 6}), whose colouring still passes
@@ -331,24 +329,11 @@ class TestRestrictOutDegree:
         + x_arcs((1, 0)) + [BridgeArc(1, ("y", 1), 19)] + x_arcs((2, 0), (2, 1))
     )
 
-    def test_plain_arcs_are_kept_before_mutual_ones(self):
+    def test_over_budget_node_is_refused(self):
         d = toy_digraph(self.ARCS, [{20}, {20}, {20}], [{21}, set(), set()], [set(), {21}, {21}])
-        r = restrict_out_degree(d)
-        assert r.arcs == (
-            BridgeArc(0, ("y", 0), 18), BridgeArc(0, ("y", 1), 19),
-            BridgeArc(1, ("y", 1), 19), BridgeArc(2, ("x", 1), 11),
-        )
-        assert r.offers == d.offers == (4, 2, 2)
-        assert mutual_graph(r).m == 0
-
-    def test_lowest_mutual_arcs_fill_what_is_left(self):
-        d = toy_digraph(self.ARCS, [{20, 21}, {20, 21}, {20}], [{19}, set(), set()], [set(), set(), {21}])
-        r = restrict_out_degree(d)
-        assert r.arcs == (
-            BridgeArc(0, ("x", 1), 11), BridgeArc(0, ("y", 0), 18), BridgeArc(0, ("y", 1), 19),
-            BridgeArc(1, ("x", 0), 10), BridgeArc(1, ("y", 1), 19), BridgeArc(2, ("x", 1), 11),
-        )
-        assert list(mutual_graph(r).edges) == [(0, 1)]
+        with pytest.raises(CertificateError, match=r"class \(10, 13\) holds arcs beyond its budget") as err:
+            restrict_out_degree(d)
+        assert err.value.dump == {"class": (10, 13), "arcs": 4, "budget": 2}
 
     def test_digraph_within_budget_comes_back_as_it_is(self):
         d = toy_digraph(self.ARCS, [{20, 21}, {20, 21}, {20, 21}], [{18, 19}, set(), set()], [set()] * 3)
@@ -495,7 +480,7 @@ class TestEngineeredHosts:
             col = refine_split(g, col)
             corners = tuple(sorted(cls[1] for cls in col.detached))
             d = restrict_out_degree(build_bridge_digraph(g, col, g.n - 1, corners))
-            h = mutual_graph(d)
+            h = d.conflict
             regions = decorated_regions(d)
             dec = critical_colouring(h, len(corners), regions)
             rep = validate_decorated(h, regions, dec)

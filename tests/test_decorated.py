@@ -13,6 +13,7 @@ from kchi.decorated import (
     validate_decorated,
 )
 from kchi.errors import CertificateError, PremiseError
+from kchi.factor import _edge_handout, _solver_for
 from kchi.graphs import Multigraph
 
 from helpers import cycle, complete, random_regions, random_simple, star
@@ -27,7 +28,6 @@ class TestRegionPartition:
         reg = all_free(3, 2)
         assert reg.free[0] == {0, 1, 2}
         assert reg.reserve[1] == frozenset()
-        assert reg.premise_holds(Multigraph(2, [(0, 1)]))
 
     def test_not_a_partition(self):
         with pytest.raises(PremiseError, match="partition"):
@@ -39,7 +39,8 @@ class TestRegionPartition:
 
     def test_premise_fails_on_low_slack(self):
         reg = RegionPartition.from_sets(2, [{0}, {0, 1}, {0, 1}], [set()] * 3, [{1}, set(), set()])
-        assert not reg.premise_holds(complete(3))
+        with pytest.raises(PremiseError, match="vertex 0: .* below degree 2"):
+            critical_colouring(complete(3), 2, reg)
 
 
 class TestCriticalColouring:
@@ -228,18 +229,10 @@ class TestCycleRepair:
     """
 
     def run(self, g, cyc, c, remaining, regions, deg_now):
-        taken = {}
         reserved, relief, colour_of = {}, {}, {}
-
-        def consume(u, v):
-            key = (u, v) if u < v else (v, u)
-            idx = taken.get(key, 0)
-            taken[key] = idx + 1
-            return g.edge_ids_between(u, v)[idx]
-
         _repair_cycle(
             cyc, c, remaining, regions, deg_now,
-            consume, reserved, relief, colour_of,
+            _edge_handout(g, _solver_for(g)), reserved, relief, colour_of,
         )
         return reserved, relief, colour_of
 

@@ -60,7 +60,6 @@ def test_max_pair_doubled_star():
     assert pair.s == {0}
     assert pair.t == {1, 2, 3}
     assert pair.value == 4
-    assert pair.minimal
 
 
 def test_max_pair_doubled_c5_and_k2():

@@ -140,23 +140,6 @@ def test_doubled_degrees_double():
         assert d.degrees == tuple(2 * x for x in g.degrees)
 
 
-def test_complement_c5_self():
-    c5 = cycle(5)
-    co = c5.complement()
-    assert sorted(co.degrees) == [2, 2, 2, 2, 2]
-    assert co.complement() == c5
-
-
-def test_complement_k4_empty():
-    assert complete(4).complement().m == 0
-    assert Multigraph(3, []).complement() == complete(3)
-
-
-def test_complement_rejects_multigraph():
-    with pytest.raises(GraphError, match="simple"):
-        Multigraph(2, [(0, 1), (0, 1)]).complement()
-
-
 def test_alpha_examples():
     assert alpha_at_most_2(cycle(5))
     assert not alpha_at_most_2(Multigraph(3, []))
@@ -199,11 +182,3 @@ def test_components_parallel_pair_is_even_cycle():
 def test_components_rejects_bad_edge_id():
     with pytest.raises(GraphError):
         components_of(path(3), [5])
-
-
-def test_induced_maps():
-    g = cycle(5)
-    sub, vmap, emap = g.induced([1, 2, 3])
-    assert sub.n == 3 and sub.m == 2
-    assert [g.endpoints(e) for e in emap] == [(1, 2), (2, 3)]
-    assert vmap == {1: 0, 2: 1, 3: 2}
