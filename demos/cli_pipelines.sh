@@ -41,6 +41,25 @@ kchi verify "$workdir/g300.json" "$workdir/cert300.json" > /dev/null
 echo "verified"
 
 echo
+echo '# a host with an independent triple: the 6-cycle immerses K3 on 0, 2, 4;'
+echo '# with no chi to check against, t comes from the certificate itself'
+printf '6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n' > "$workdir/c6.txt"
+cat > "$workdir/c6cert.json" <<'EOF'
+{"kind": "immersion", "t": 3, "corners": [0, 2, 4],
+ "paths": [{"pair": [0, 2], "edges": [0, 1]},
+           {"pair": [0, 4], "edges": [5, 4]},
+           {"pair": [2, 4], "edges": [2, 3]}]}
+EOF
+kchi verify "$workdir/c6.txt" "$workdir/c6cert.json" > "$workdir/c6verdict.json"
+python3 - "$workdir/c6verdict.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+print("t", doc["t"], "from the", doc["t_source"])
+if doc["t_source"] != "certificate" or not doc["ok"]:
+    sys.exit("BUG: the certificate branch of verify did not accept")
+EOF
+
+echo
 echo '# a tampered certificate is rejected with exit code 1'
 python3 - "$workdir/cert.json" "$workdir/bad.json" <<'EOF'
 import json, sys

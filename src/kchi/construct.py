@@ -52,6 +52,7 @@ from .decorated import (
     validate_decorated,
 )
 from .errors import CertificateError, PremiseError
+from .gcpause import gc_paused
 from .graphs import Multigraph, alpha_at_most_2, components_of, iter_bits
 from .immersion import (
     Immersion,
@@ -444,6 +445,7 @@ def assign_bridges(
     return routes
 
 
+@gc_paused
 def construct_immersion(g: Multigraph) -> Immersion:
     """Build and verify a weak immersion of the complete graph on χ(G) corners.
 

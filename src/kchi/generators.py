@@ -31,11 +31,12 @@ import json
 import random
 import re
 from functools import cache
-from itertools import chain
-from operator import add, itemgetter
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, lt
 
 from .errors import CertificateError, GraphError
-from .graphs import Multigraph, alpha_at_most_2
+from .gcpause import gc_paused
+from .graphs import Multigraph, alpha_at_most_2, iter_bits
 from .immersion import (
     Immersion,
     _with_split,
@@ -67,27 +68,31 @@ def gen_alpha2(n: int, density: float, seed: int) -> Multigraph:
     attempted with probability ``density``, in seeded random order, and kept
     unless it closes a triangle — then returns its complement.  ``density``
     0 gives the complete graph.
+
+    Pairs u < v are shuffled as the int codes ``u * n + v``; the swaps of
+    ``random.shuffle`` depend only on the length, so this is the order a
+    list of pair tuples would get.  One ``rng.random()`` is drawn per pair,
+    in that order, whether or not the pair is kept.
     """
     if n < 1:
         raise GraphError(f"need at least one vertex, got {n}")
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
+    codes = [u * n + v for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(codes)
     mask = [0] * n
-    for u, v in pairs:
-        if rng.random() >= density:
-            continue
+    for code in compress(codes, map(lt, iter(rng.random, None), repeat(density))):
+        u, v = divmod(code, n)
         if mask[u] & mask[v]:
             continue  # a common neighbour would close a triangle
         mask[u] |= 1 << v
         mask[v] |= 1 << u
+    full = (1 << n) - 1
     g = Multigraph(
         n,
         [
             (u, v)
             for u in range(n)
-            for v in range(u + 1, n)
-            if not mask[u] >> v & 1
+            for v in iter_bits(full & ~mask[u] & ~((2 << u) - 1))
         ],
     )
     assert alpha_at_most_2(g)
@@ -305,6 +310,7 @@ def _path_template(length: int) -> str:
     )
 
 
+@gc_paused
 def emit_certificate(imm: Immersion) -> str:
     """The certificate as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, plus a newline.
 
@@ -343,6 +349,7 @@ def emit_certificate(imm: Immersion) -> str:
     return "".join(parts)
 
 
+@gc_paused
 def parse_certificate(g: Multigraph, text: str) -> Immersion:
     """Rebuild an immersion certificate; the graph resolves colour classes.
 

@@ -129,10 +129,6 @@ class Multigraph:
     def max_degree(self) -> int:
         return max(self._deg, default=0)
 
-    @property
-    def is_simple(self) -> bool:
-        return not self._copies
-
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
 
@@ -222,16 +218,20 @@ class Multigraph:
 
 
 def alpha_at_most_2(g: Multigraph) -> bool:
-    """True iff the graph has no independent set of three vertices."""
+    """True iff the graph has no independent set of three vertices.
+
+    ``above[u]`` holds the non-neighbours of u above u.  An independent
+    triple u < v < w is a non-edge u < v with w in both ``above[u]`` and
+    ``above[v]``, so each non-edge costs one AND.
+    """
     full = (1 << g.n) - 1
-    for u in range(g.n):
-        # candidates above u and non-adjacent to u
-        cand = full & ~g._mask[u] & ~((2 << u) - 1)
+    above = [full & ~row & ~((2 << u) - 1) for u, row in enumerate(g._mask)]
+    for mine in above:
+        cand = mine
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
             cand ^= low
-            if full & ~g._mask[u] & ~g._mask[v] & ~((2 << v) - 1):
+            if mine & above[low.bit_length() - 1]:
                 return False
     return True
 

@@ -9,16 +9,21 @@ the immersion constructor: a K_χ immersion whose paths never leave the two
 classes they connect, available whenever every pair class has a singleton
 attached by exactly one edge.
 
-Optimality is proved by one blossom matching of the complement.
-``chi_alpha2`` and ``_optimal_colouring`` build colourings that are optimal
-by construction.  The public ``refine_split`` and ``faithful_immersion``
+Optimality is proved by one blossom matching of the complement, handed to
+the matcher as one bitmask per vertex (``_non_adjacency``: the vertex set's
+mask minus the vertex's neighbours and itself), so no adjacency list is
+built.  ``chi_alpha2`` and ``_optimal_colouring`` build colourings that are
+optimal by construction.  The public ``refine_split`` and ``faithful_immersion``
 prove their input optimal (``_require_optimal``) and raise ``PremiseError``
 otherwise; the constructor calls their private cores ``_refine_split`` and
 ``_faithful_immersion`` directly, on colourings derived from one it has just
 built, so nothing is proved twice.
 
 ``verify_immersion`` replays any immersion certificate against the host
-graph and is completely independent of the construction code.  The audit
+graph and is completely independent of the construction code.  It and
+``chi_alpha2`` run with the cyclic garbage collector paused
+(``gcpause.gc_paused``): they allocate many short-lived containers and no
+reference cycles.  The audit
 helpers check the structural facts the constructor relies on (shared
 attachment vertices, the singleton clique, adjacency of inner halves, the
 four-class K₄, and the counting inequality enforced by ``refine_split``);
@@ -29,10 +34,12 @@ adversarial inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import CertificateError, PremiseError
-from .graphs import Multigraph, alpha_at_most_2
+from .gcpause import gc_paused
+from .graphs import Multigraph, alpha_at_most_2, iter_bits
 from .matching import matching_size, maximum_matching
 from .reporting import ValidityReport
 
@@ -60,6 +67,16 @@ class PairColouring:
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(v for cls in self.classes for v in cls))
+
+    @cached_property
+    def _detached_halves(self) -> tuple[int, dict[int, int]]:
+        """The mask of every detached class's halves, and each half's partner."""
+        bits = 0
+        partner: dict[int, int] = {}
+        for p, q in self.detached:
+            bits |= 1 << p | 1 << q
+            partner[p], partner[q] = q, p
+        return bits, partner
 
 
 @dataclass(frozen=True)
@@ -146,33 +163,25 @@ def _with_split(g: Multigraph, classes) -> PairColouring:
     )
 
 
-def _non_adjacency(g: Multigraph, verts: tuple[int, ...]) -> list[list[int]]:
-    """Adjacency lists of the complement of G[verts], in local indices.
+def _non_adjacency(g: Multigraph, verts: tuple[int, ...]) -> list[int]:
+    """Complement masks of G[verts] in global vertex ids, one per vertex of G.
 
-    ``verts`` is ascending, so each list comes out ascending too.
+    A vertex outside ``verts`` gets mask 0, so it stays exposed in the
+    blossom matching and is never searched from.
     """
     live = _bits(verts)
-    local = [0] * (verts[-1] + 1 if verts else 0)
-    for i, u in enumerate(verts):
-        local[u] = i
-    rows = []
+    masks = [0] * g.n
     for u in verts:
-        missed = live & ~g.adjacency_mask(u) & ~(1 << u)
-        row = []
-        while missed:
-            low = missed & -missed
-            row.append(local[low.bit_length() - 1])
-            missed ^= low
-        rows.append(row)
-    return rows
+        masks[u] = live & ~g.adjacency_mask(u) & ~(1 << u)
+    return masks
 
 
 def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
     """Optimal colouring of G[verts]: matched complement edges plus singletons."""
-    mate = maximum_matching(len(verts), _non_adjacency(g, verts))
-    classes = [
-        (verts[i], verts[j]) for i, j in enumerate(mate) if j > i
-    ] + [(verts[i],) for i, j in enumerate(mate) if j == -1]
+    mate = maximum_matching(g.n, _non_adjacency(g, verts))
+    classes = [(u, mate[u]) for u in verts if mate[u] > u] + [
+        (u,) for u in verts if mate[u] == -1
+    ]
     col = _with_split(g, classes)
     _check_colouring(g, col.classes)
     return col
@@ -181,11 +190,12 @@ def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
 def _require_optimal(g: Multigraph, col: PairColouring, what: str) -> None:
     """Raise ``PremiseError`` unless ``col`` is an optimal colouring of its vertices."""
     verts = _check_colouring(g, col.classes)
-    mate = maximum_matching(len(verts), _non_adjacency(g, verts))
+    mate = maximum_matching(g.n, _non_adjacency(g, verts))
     if len(col.classes) != len(verts) - matching_size(mate):
         raise PremiseError(f"{what} needs an optimal colouring")
 
 
+@gc_paused
 def chi_alpha2(g: Multigraph) -> tuple[int, PairColouring]:
     """Chromatic number and an optimal size-≤2-class colouring.
 
@@ -301,7 +311,10 @@ def _count_gap(
     ``_grouped_by_owner`` gives them.
     """
     near = g.adjacency_mask(labels[cls])
-    lhs = sum((near >> p ^ near >> q) & 1 for p, q in col.detached)
+    # a detached class meets the corner once iff exactly one half is missed
+    halves, partner = col._detached_halves
+    missed = halves & ~near
+    lhs = sum(not missed >> partner[h] & 1 for h in iter_bits(missed))
     rhs = sum(near >> p & near >> q & 1 for p, q in group if (p, q) != cls)
     return lhs, rhs
 
@@ -402,6 +415,7 @@ def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
 # -- independent verifier ---------------------------------------------------
 
 
+@gc_paused
 def verify_immersion(
     g: Multigraph, imm: Immersion, t: int, faithful_wrt: PairColouring | None = None
 ) -> ValidityReport:

@@ -1,7 +1,11 @@
 """Maximum matching routines: general graphs (blossom) and bipartite (Kuhn).
 
-Both operate on plain adjacency lists so callers can match auxiliary graphs
-(complements, double covers) without building Multigraph instances.
+Both take plain neighbour data, so callers can match auxiliary graphs
+(complements, double covers) without building Multigraph instances.  The
+blossom matcher takes one neighbour bitmask per vertex: the immersion layer
+hands it ``live & ~adj(u) & ~(1 << u)`` for each live vertex ``u``, the
+complement of G[live] in global vertex ids, without building any list.
+The bipartite matcher takes adjacency lists and turns them into masks.
 
 The bipartite matcher is Kuhn's augmenting-path search run as an explicit
 stack over neighbour bitmasks (:func:`_augment`), so its depth is bounded by
@@ -27,24 +31,35 @@ from collections import deque
 from typing import Sequence
 
 
-def maximum_matching(n: int, adj: Sequence[Sequence[int]], mate: list[int] | None = None) -> list[int]:
+def maximum_matching(n: int, masks: Sequence[int]) -> list[int]:
     """Maximum matching in a general graph via Edmonds' blossom algorithm.
 
-    ``adj[v]`` lists the neighbours of ``v`` (a simple-graph view; parallel
-    entries are harmless).  Returns the mate array, with ``-1`` for exposed
-    vertices.  An initial matching may be supplied to warm-start.
+    ``masks[v]`` is the bitmask of the neighbours of ``v`` (bit ``w`` set
+    iff v and w are adjacent), for ``v`` in ``0..n-1``; the masks must be
+    symmetric and have no bit ``v`` in ``masks[v]``.  A vertex outside the
+    graph being matched simply has mask 0.  Returns the mate array, with
+    ``-1`` for exposed vertices.
+
+    Neighbours are read lowest bit first, which is the order of sorted
+    adjacency lists.  A search from a root runs only while some other
+    exposed vertex could end its augmenting path: a vertex with no
+    neighbour never can, and neither can a root whose own search failed
+    (Edmonds: no augmenting path from it appears after later
+    augmentations).  A skipped search is one that would have failed, so
+    the mate array is the same as with every search run.
     """
-    if mate is None:
-        mate = [-1] * n
-        for v in range(n):
-            if mate[v] == -1:
-                for u in adj[v]:
-                    if mate[u] == -1 and u != v:
-                        mate[v] = u
-                        mate[u] = v
-                        break
-    else:
-        mate = list(mate)
+    mate = [-1] * n
+    exposed = (1 << n) - 1
+    for v in range(n):
+        if mate[v] == -1:
+            # the greedy start: v's lowest exposed neighbour
+            free = masks[v] & exposed
+            if free:
+                low = free & -free
+                u = low.bit_length() - 1
+                mate[v] = u
+                mate[u] = v
+                exposed ^= 1 << v | low
 
     parent = [-1] * n
     base = list(range(n))
@@ -71,7 +86,8 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]], mate: list[int] | Non
             child = mate[v]
             v = parent[mate[v]]
 
-    def augment_from(root: int) -> bool:
+    def augment_from(root: int) -> int:
+        """Flip an augmenting path from ``root``; its other end, or -1 if none."""
         nonlocal parent, base
         parent = [-1] * n
         base = list(range(n))
@@ -80,7 +96,11 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]], mate: list[int] | Non
         in_queue[root] = True
         while queue:
             v = queue.popleft()
-            for to in adj[v]:
+            nbrs = masks[v]
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                to = low.bit_length() - 1
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
@@ -106,14 +126,22 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]], mate: list[int] | Non
                             mate[u] = pv
                             mate[pv] = u
                             u = nxt
-                        return True
+                        return to
                     in_queue[mate[to]] = True
                     queue.append(mate[to])
-        return False
+        return -1
 
-    for v in range(n):
-        if mate[v] == -1:
-            augment_from(v)
+    # exposed vertices with a neighbour, not yet searched from: the roots to
+    # come, and the only vertices that can end an augmenting path
+    roots = sum(1 << v for v in range(n) if mate[v] == -1 and masks[v])
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        if not roots:
+            break  # no other end is left for an augmenting path
+        end = augment_from(low.bit_length() - 1)
+        if end != -1:
+            roots &= ~(1 << end)
     return mate
 
 

@@ -121,6 +121,24 @@ class TestVerify:
         code, doc, _ = run("verify", ("g.txt", C7), ("cert.json", json.dumps(cert)))
         assert code == 0 and doc["t_source"] == "certificate" and doc["t"] == 1
 
+    def test_alpha_is_checked_once(self, run, monkeypatch):
+        import kchi.cli
+        import kchi.immersion
+
+        cert = self.cert_for(run, C5)
+        calls = []
+        real = kchi.cli.alpha_at_most_2
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(kchi.cli, "alpha_at_most_2", counted)
+        monkeypatch.setattr(kchi.immersion, "alpha_at_most_2", counted)
+        code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", json.dumps(cert)))
+        assert code == 0 and doc["t_source"] == "chromatic number"
+        assert calls == [5]
+
     def test_malformed_certificate(self, run):
         code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", "{nope"))
         assert code == 2 and doc["error"]["type"] == "GraphError"
@@ -238,6 +256,27 @@ class TestStress:
     def test_worker_pool_path(self, run):
         code, doc, _ = run("stress", "--n", "10", "--count", "40", "--seed", "3")
         assert code == 0 and doc["verified"] == "40/40"
+
+    def test_worker_pool_is_shut_down(self, run, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class InlinePool(concurrent.futures.Executor):
+            def __init__(self):
+                self.closed = False
+                pools.append(self)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True, **kwargs):
+                self.closed = True
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        code, doc, _ = run("stress", "--n", "8", "--count", "32", "--seed", "4")
+        assert code == 0 and doc["verified"] == "32/32"
+        assert len(pools) == 1 and pools[0].closed
 
     def test_campaigns_are_reproducible(self, run):
         a = run("stress", "--n", "14", "--count", "10", "--seed", "9")

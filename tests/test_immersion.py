@@ -139,6 +139,33 @@ class TestRefineSplit:
         assert ref.attached == ((0, 7), (1, 2), (3, 5))
         assert audit_refined(g, ref) == []
 
+    def test_gap_counts_as_the_per_class_recount(self):
+        # the missed-halves count against the recount over every detached
+        # class, on random colourings of random hosts, some of which have
+        # an independent triple; every half of an attached class is tried
+        # as its corner
+        rng = random.Random(4242)
+        triples = 0
+        for _ in range(300):
+            n = rng.randint(2, 16)
+            g = Multigraph(
+                n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.7]
+            )
+            triples += not alpha_at_most_2(g)
+            order = rng.sample(range(n), n)
+            classes = []
+            while order:
+                classes.append(tuple(order.pop() for _ in range(min(len(order), rng.randint(1, 2)))))
+            col = _with_split(g, classes)
+            for group in _grouped_by_owner(col).values():
+                for cls in group:
+                    for corner in cls:
+                        near = g.adjacency_mask(corner)
+                        lhs = sum((near >> p ^ near >> q) & 1 for p, q in col.detached)
+                        rhs = sum(near >> p & near >> q & 1 for p, q in group if (p, q) != cls)
+                        assert _count_gap(g, col, {cls: corner}, group, cls) == (lhs, rhs)
+        assert triples > 30
+
     def test_unrefined_colouring_fails_the_audit(self):
         g = Multigraph(9, REFINE_EDGES)
         _, col = chi_alpha2(g)

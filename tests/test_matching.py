@@ -1,44 +1,49 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
+from kchi.generators import gen_alpha2, gen_multigraph
 from kchi.matching import bipartite_maximum_matching, matching_size, maximum_matching
 from helpers import brute_max_matching_size, complete, cycle, path
 
 
-def adj_of(g):
-    return [sorted(set(g.neighbours(v))) for v in range(g.n)]
+def masks_of(n, pairs):
+    """Neighbour bitmasks of the simple graph on 0..n-1 with these edges."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def graph_masks(g):
+    return [g.adjacency_mask(v) for v in range(g.n)]
 
 
 def test_blossom_small_families():
-    assert matching_size(maximum_matching(5, adj_of(cycle(5)))) == 2
-    assert matching_size(maximum_matching(4, adj_of(complete(4)))) == 2
-    assert matching_size(maximum_matching(6, adj_of(path(6)))) == 3
-    assert matching_size(maximum_matching(3, [[], [], []])) == 0
+    assert matching_size(maximum_matching(5, graph_masks(cycle(5)))) == 2
+    assert matching_size(maximum_matching(4, graph_masks(complete(4)))) == 2
+    assert matching_size(maximum_matching(6, graph_masks(path(6)))) == 3
+    assert matching_size(maximum_matching(3, [0, 0, 0])) == 0
+    assert maximum_matching(0, []) == []
 
 
 def test_blossom_needs_blossoms():
     # two triangles joined by an edge: maximum matching is 3, and a greedy
     # or purely bipartite-style search gets stuck without contracting
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
-    adj = [[] for _ in range(6)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    assert matching_size(maximum_matching(6, adj)) == 3
+    assert matching_size(maximum_matching(6, masks_of(6, pairs))) == 3
 
 
 def test_blossom_petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
-    adj = [[] for _ in range(10)]
-    for u, v in outer + inner + spokes:
-        adj[u].append(v)
-        adj[v].append(u)
-    assert matching_size(maximum_matching(10, adj)) == 5
+    assert matching_size(maximum_matching(10, masks_of(10, outer + inner + spokes))) == 5
 
 
 def test_blossom_against_brute_force():
@@ -51,34 +56,57 @@ def test_blossom_against_brute_force():
             for v in range(u + 1, n)
             if rng.random() < 0.4
         ]
-        adj = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        mate = maximum_matching(n, adj)
+        masks = masks_of(n, pairs)
+        mate = maximum_matching(n, masks)
         for v, u in enumerate(mate):
             if u != -1:
-                assert mate[u] == v and u in adj[v]
+                assert mate[u] == v and masks[v] >> u & 1
         assert matching_size(mate) == brute_max_matching_size(n, pairs), pairs
 
 
-def test_blossom_warm_start_is_still_maximum():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randint(2, 9)
-        pairs = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-        ]
-        adj = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        seed = [-1] * n
-        if pairs:
-            u, v = pairs[rng.randrange(len(pairs))]
-            seed[u], seed[v] = v, u
-        mate = maximum_matching(n, adj, mate=seed)
+def test_blossom_on_a_vertex_subset():
+    # vertices outside the matched set have mask 0 and stay exposed
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        live = sorted(rng.sample(range(n), rng.randint(0, n)))
+        pairs = [(u, v) for u, v in combinations(live, 2) if rng.random() < 0.5]
+        mate = maximum_matching(n, masks_of(n, pairs))
+        assert all(mate[v] == -1 for v in range(n) if v not in live)
         assert matching_size(mate) == brute_max_matching_size(n, pairs)
+
+
+def complement_cases():
+    """Seeded complements of whole graphs and of vertex subsets, as the
+    immersion layer matches them: one mask per vertex of G, 0 off the subset."""
+    rng = random.Random(20261018)
+    for i in range(60):
+        n = rng.randint(1, 70)
+        d = rng.random()
+        seed = rng.randrange(2**32)
+        g = gen_alpha2(n, d, seed) if i % 2 == 0 else gen_multigraph(n, d, seed, max_mult=1)
+        full = tuple(range(n))
+        yield g, full
+        yield g, tuple(sorted(rng.sample(full, rng.randint(0, n))))
+    for n, d, seed in ((300, 0.4, 7), (301, 0.8, 8)):
+        g = gen_alpha2(n, d, seed)
+        yield g, tuple(range(n))
+        yield g, tuple(range(1, n, 2))
+
+
+def test_blossom_mates_are_pinned():
+    # taken with the matcher that walked sorted complement adjacency lists
+    # in local indices (its mates mapped back to vertex ids); walking
+    # masks lowest bit first and skipping searches that must fail keeps
+    # every mate array the same
+    h = hashlib.sha256()
+    for g, verts in complement_cases():
+        live = sum(1 << v for v in verts)
+        masks = [0] * g.n
+        for u in verts:
+            masks[u] = live & ~g.adjacency_mask(u) & ~(1 << u)
+        h.update(repr(maximum_matching(g.n, masks)).encode())
+    assert h.hexdigest() == "ead665aeb51dc65f079a9a5216793c476d3ce7ddc55fd16d480d0481f932ad71"
 
 
 def test_bipartite_basic():
