@@ -102,6 +102,17 @@ for doc in '{' '{"n": 3}'; do
 done
 
 echo
+echo '# bad generator or stress parameters are bad input too, exit code 2'
+for args in 'gen cycle' 'stress --n 0 --count 3'; do
+    status=0
+    kchi $args > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "BUG: kchi $args gave exit $status, not 2"; exit 1
+    fi
+    echo "kchi $args: rejected as bad input (exit $status)"
+done
+
+echo
 echo '# edge colouring within the maximum degree, with class breakdown'
 kchi gen doubled cycle 5 | kchi colour --r 2 -
 

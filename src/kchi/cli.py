@@ -156,7 +156,7 @@ def _cmd_gen(args) -> int:
         params = tuple(
             int(x) if x.lstrip("+-").isdigit() else x for x in args.family[1:]
         )
-        g = gen_family(name, params if len(params) != 1 else params[0])
+        g = gen_family(name, params)
         origin: dict = {"family": name, "params": list(params)}
     else:
         if args.n is None:
@@ -249,6 +249,32 @@ def _cmd_stress(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer ≥ {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _density(text: str) -> float:
+    """An argparse type: a pair probability in [0, 1] (so never NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a density in [0, 1], got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _print_json({"error": {"type": "UsageError", "message": message}})
@@ -281,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit an instance")
     p.add_argument("family", nargs="*", help="family name and integer parameters")
     p.add_argument("--n", type=int, help="vertex count for seeded random instances")
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=_cmd_gen)
@@ -294,10 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("stress", help="seeded construct+verify campaign")
-    p.add_argument("--n", type=int, default=40, help="vertex count cap")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--n", type=_int_from(1), default=40, help="vertex count cap")
+    p.add_argument("--count", type=_int_from(0), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=None,
+    p.add_argument("--density", type=_density, default=None,
                    help="fixed density (default: varies per case)")
     p.set_defaults(func=_cmd_stress)
 

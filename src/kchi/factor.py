@@ -21,11 +21,14 @@ The solver (:class:`_FactorSolver`) serves the colouring inductions, which
 solve, delete the extracted pairs and solve again about Δ times.  It keeps
 each vertex's remaining degree and its neighbour bitmask up to date as
 pairs are deleted, and hands the masks straight to the iterative bitset
-matcher (``matching._augment``) warm-started from the previous matching, so
-no step re-sums degrees, rebuilds adjacency lists or recurses.  The pieces
-of the matching that make up H are read from the mate array in O(n), and
-the cover of T inside ``S ∪ T`` is one bipartite matching whose roots are
-taken in priority order.
+matcher (``matching.bipartite_maximum_matching``) warm-started from the
+previous matching, so no step re-sums degrees, builds adjacency lists or
+recurses.  S and T stay bitmasks in global vertex ids throughout: the
+shrink to a minimal pair matches the rows ``nbr[v] & T`` and walks back
+over ``nbr[w] & S`` (the masks are symmetric), and the cover of T inside
+``S ∪ T`` is one bipartite matching of the rows ``nbr[v] & S`` whose roots
+are taken in priority order.  The pieces of the matching that make up H
+are read from the mate array in O(n).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CertificateError, PremiseError, SizeGuardError
 from .graphs import Multigraph, iter_bits
-from .matching import _augment, bipartite_maximum_matching
+from .matching import bipartite_maximum_matching
 
 FTable = Sequence[int]
 FSpec = FTable | Callable[[int], int]
@@ -215,8 +218,8 @@ class _FactorSolver:
     def solve(self, t_priority=None) -> _SupportFactor:
         n = self.n
         nbr = self.nbr
-        mate_l, mate_r = self.mate_l, self.mate_r
-        _augment(nbr, mate_l, mate_r)
+        mate_l, mate_r = bipartite_maximum_matching(nbr, n, self.mate_l, self.mate_r)
+        self.mate_l, self.mate_r = mate_l, mate_r
 
         # alternating reachability from exposed left copies; the König cover
         # of the double cover translates to (S, T) via per-vertex cover counts
@@ -239,59 +242,48 @@ class _FactorSolver:
                     z_l |= 1 << p
                     stack.append(p)
 
-        s = set(iter_bits(z_r & ~z_l))
-        t = set(iter_bits(z_l & ~z_r))
-
+        s = z_r & ~z_l
+        t = z_l & ~z_r
         if s:
-            self._shrink_to_minimal(s, t)
-
+            s, t = self._shrink_to_minimal(s, t)
         return self._build_structure(s, t, t_priority)
 
-    def _restricted_adj(self, rows: list[int], cols: list[int]) -> list[list[int]]:
-        """Adjacency from each of ``rows`` to the positions in ``cols``, ascending."""
-        pos = {v: i for i, v in enumerate(cols)}
-        col_mask = sum(1 << v for v in cols)
-        return [[pos[w] for w in iter_bits(self.nbr[v] & col_mask)] for v in rows]
-
-    def _shrink_to_minimal(self, s: set[int], t: set[int]) -> None:
+    def _shrink_to_minimal(self, s: int, t: int) -> tuple[int, int]:
         """Drop the maximal tight subset of S (with its T-neighbourhood).
 
         On entry (S, T) maximizes the deficiency with T independent and
         N(T) = S, which forces |N(X) ∩ T| ≥ |X| for all X ⊆ S; removing the
         single maximal tight set makes the inequality strict everywhere.
+        The S vertices left are those an alternating path reaches from a T
+        vertex the S-into-T matching leaves exposed.
         """
-        s_list = sorted(s)
-        t_list = sorted(t)
-        s_adj = self._restricted_adj(s_list, t_list)
-        ml, mr = bipartite_maximum_matching(len(s_list), len(t_list), s_adj)
-        if -1 in ml:
+        nbr = self.nbr
+        ml, mr = bipartite_maximum_matching(
+            [nbr[v] & t if s >> v & 1 else 0 for v in range(self.n)], self.n
+        )
+        if any(ml[v] == -1 for v in iter_bits(s)):
             raise self._fail("shrink", "S not matchable into T at a deficiency maximizer")
 
-        t_adj: list[list[int]] = [[] for _ in t_list]
-        for i, row in enumerate(s_adj):
-            for j in row:
-                t_adj[j].append(i)
-        reach_s = [False] * len(s_list)
-        reach_t = [False] * len(t_list)
-        stack = [j for j in range(len(t_list)) if mr[j] == -1]
-        for j in stack:
-            reach_t[j] = True
+        reach_s = 0
+        reach_t = 0
+        stack = [w for w in iter_bits(t) if mr[w] == -1]
+        for w in stack:
+            reach_t |= 1 << w
         while stack:
-            j = stack.pop()
-            for i in t_adj[j]:
-                if ml[i] != j and not reach_s[i]:
-                    reach_s[i] = True
-                    j2 = ml[i]
-                    if not reach_t[j2]:
-                        reach_t[j2] = True
-                        stack.append(j2)
+            w = stack.pop()
+            for v in iter_bits(nbr[w] & s & ~reach_s):
+                if ml[v] != w:
+                    reach_s |= 1 << v
+                    w2 = ml[v]
+                    if not reach_t >> w2 & 1:
+                        reach_t |= 1 << w2
+                        stack.append(w2)
 
-        for i, v in enumerate(s_list):
-            if not reach_s[i]:
-                s.discard(v)
-                t.discard(t_list[ml[i]])
+        for v in iter_bits(s & ~reach_s):
+            t &= ~(1 << ml[v])
+        return reach_s, t
 
-    def _build_structure(self, s: set[int], t: set[int], t_priority=None) -> _SupportFactor:
+    def _build_structure(self, s: int, t: int, t_priority=None) -> _SupportFactor:
         n = self.n
         mate_l = self.mate_l
         inside = s | t
@@ -306,11 +298,11 @@ class _FactorSolver:
             full = mate_l[v] == u
             if full and v < u:
                 continue
-            if (u in inside) != (v in inside):
+            if (inside >> u & 1) != (inside >> v & 1):
                 a, b = (u, v) if u < v else (v, u)
                 raise self._fail("structure", f"component crosses the S∪T boundary at {a}-{b}")
             if full:
-                if u not in inside:
+                if not inside >> u & 1:
                     two.append((u, v))
             else:
                 half_adj[u].append(v)
@@ -334,7 +326,7 @@ class _FactorSolver:
                 if not nxts:
                     break
                 prev, cur = cur, nxts[0]
-            if walk[0] not in t or walk[-1] not in t:
+            if not t >> walk[0] & 1 or not t >> walk[-1] & 1:
                 raise self._fail("structure", f"open component endpoint outside T: {walk}")
         for v0 in range(n):
             if seen[v0] or not half_adj[v0]:
@@ -347,7 +339,7 @@ class _FactorSolver:
                 seen[cur] = True
                 a, b = half_adj[cur]
                 prev, cur = cur, (b if a == prev else a)
-            if cycle[0] in inside:
+            if inside >> cycle[0] & 1:
                 if len(cycle) % 2:
                     raise self._fail("structure", f"odd cycle through S∪T: {cycle}")
                 continue  # rebuilt below via the S-T matching
@@ -363,49 +355,32 @@ class _FactorSolver:
         # matroid, so covering T greedily in priority order is optimal.
         # Vertices at the current maximum degree come first regardless (they
         # must end up spanned); callers may promote others via t_priority.
-        covered_t: set[int] = set()
+        covered = 0
         if s:
-            s_list = sorted(s)
-            t_list = sorted(t)
-            t_adj = self._restricted_adj(t_list, s_list)
-            delta = max(self.deg, default=0)
-            mandatory = [self.deg[v] == delta for v in t_list]
-            if t_priority is None:
-                order = sorted(range(len(t_list)), key=lambda j: (not mandatory[j], j))
-            else:
-                order = sorted(
-                    range(len(t_list)),
-                    key=lambda j: (not mandatory[j], t_priority(t_list[j]), j),
-                )
+            deg = self.deg
+            delta = max(deg, default=0)
+            prio = t_priority or (lambda v: 0)
+            order = sorted(iter_bits(t), key=lambda v: (deg[v] != delta, prio(v), v))
             # Kuhn's roots are taken in ``order``, so T is covered greedily
-            mate_o, mate_s = bipartite_maximum_matching(
-                len(t_list), len(s_list), [t_adj[j] for j in order]
-            )
-            mate_t = [-1] * len(t_list)
-            for k, j in enumerate(order):
-                mate_t[j] = mate_o[k]
+            mate_t, _ = bipartite_maximum_matching([self.nbr[v] & s for v in order], n)
+            for v, u in zip(order, mate_t):
+                if u != -1:
+                    two.append((u, v) if u < v else (v, u))
+                    covered |= 1 << v
             # a T-to-S matching has size at most |S| and an S-saturating one
             # exists, so the greedy maximum saturates S automatically
-            if -1 in mate_s:
+            if covered.bit_count() != s.bit_count():
                 raise self._fail("rebuild", "S not saturated while rebuilding H[S∪T]")
-            for j, i in enumerate(mate_t):
-                if i == -1:
-                    if mandatory[j]:
-                        raise self._fail(
-                            "rebuild",
-                            f"maximum-degree vertex {t_list[j]} of T left uncovered",
-                        )
-                    continue
-                a, b = s_list[i], t_list[j]
-                two.append((a, b) if a < b else (b, a))
-                covered_t.add(t_list[j])
+            for v in iter_bits(t & ~covered):
+                if deg[v] == delta:
+                    raise self._fail("rebuild", f"maximum-degree vertex {v} of T left uncovered")
 
         return _SupportFactor(
-            s=frozenset(s),
-            t=frozenset(t),
+            s=frozenset(iter_bits(s)),
+            t=frozenset(iter_bits(t)),
             two_cycles=tuple(sorted(two)),
             odd_cycles=tuple(sorted(odd_cycles)),
-            uncovered=frozenset(t - covered_t),
+            uncovered=frozenset(iter_bits(t & ~covered)),
         )
 
 
@@ -444,14 +419,18 @@ def _halved_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _solve_halved(g: Multigraph) -> tuple[_SupportFactor, DeficiencyPair]:
+    """One solve on the support of the even-multiplicity ``g``, with its pair."""
+    res = _FactorSolver(g.n, _halved_counts(g)).solve()
+    return res, DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
+
+
 def max_deficiency_pair(g: Multigraph) -> DeficiencyPair:
     """Containment-minimal maximizer of def(S, T) with f ≡ 2.
 
     Requires every edge of ``g`` to have even multiplicity.
     """
-    solver = _FactorSolver(g.n, _halved_counts(g))
-    res = solver.solve()
-    return DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
+    return _solve_halved(g)[1]
 
 
 def max_f_bounded_subgraph(g: Multigraph) -> tuple[FactorSubgraph, DeficiencyPair]:
@@ -460,10 +439,7 @@ def max_f_bounded_subgraph(g: Multigraph) -> tuple[FactorSubgraph, DeficiencyPai
     The subgraph consists of 2-cycles and odd cycles, attains degree sum
     ``2 n - def(S, T)``, and covers every maximum-degree vertex.
     """
-    solver = _FactorSolver(g.n, _halved_counts(g))
-    res = solver.solve()
-    pair = DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
-
+    res, pair = _solve_halved(g)
     two = []
     for u, v in res.two_cycles:
         ids = g.edge_ids_between(u, v)
@@ -650,20 +626,18 @@ def _strict_expansion_violation(g: Multigraph, s, t) -> list[int] | None:
     violator, and their originals are the returned X.
     """
     s_list = sorted(s)
-    t_index = {y: j for j, y in enumerate(sorted(t))}
-    adj = [sorted({t_index[y] for y in g.neighbours(x) if y in t_index}) for x in s_list]
-    base_l, base_r = bipartite_maximum_matching(len(s_list), len(t_index), adj)
+    t_mask = sum(1 << y for y in t)
+    rows = [g.adjacency_mask(x) & t_mask for x in s_list]
+    base_l, base_r = bipartite_maximum_matching(rows, g.n)
     for i in range(len(s_list)):
-        dup = adj + [adj[i]]
-        mate_l, mate_r = bipartite_maximum_matching(
-            len(dup), len(t_index), dup, base_l + [-1], base_r
-        )
+        dup = rows + [rows[i]]
+        mate_l, mate_r = bipartite_maximum_matching(dup, g.n, base_l + [-1], base_r)
         if -1 not in mate_l:
             continue
         start = mate_l.index(-1)
         reached, stack = {start}, [start]
         while stack:
-            for w in dup[stack.pop()]:
+            for w in iter_bits(dup[stack.pop()]):
                 u = mate_r[w]
                 if u not in reached:  # a maximum matching leaves no w free here
                     reached.add(u)

@@ -169,9 +169,20 @@ def gen_family(name: str, params) -> Multigraph:
     ``gen_family("doubled", ("cycle", 5))``.  ``faithful`` takes ``k`` or
     ``(k, seed)`` and builds a host graph whose optimal colouring satisfies
     the faithful-immersion premise; the instance is validated end to end
-    before it is returned.
+    before it is returned.  A missing, extra or non-integer parameter
+    raises :class:`GraphError`.
     """
-    args = params if isinstance(params, (tuple, list)) else (params,)
+    args = tuple(params) if isinstance(params, (tuple, list)) else (params,)
+    if name == "doubled":
+        if not args or not isinstance(args[0], str):
+            raise GraphError(f"family 'doubled' needs the family it doubles, got {list(args)}")
+        return gen_family(args[0], args[1:]).doubled()
+    if name not in _SIMPLE_FAMILIES and name != "faithful":
+        raise GraphError(f"unknown family {name!r}")
+    arity = (1, 2) if name == "faithful" else (1,)
+    if len(args) not in arity or not all(type(a) is int for a in args):
+        usage = "an integer k, or k and a seed" if name == "faithful" else "one integer"
+        raise GraphError(f"family {name!r} takes {usage}, got {list(args)}")
     if name in _SIMPLE_FAMILIES:
         (n,) = args
         if name == "cycle" and n < 3:
@@ -179,28 +190,21 @@ def gen_family(name: str, params) -> Multigraph:
         if n < (0 if name == "complete" else 1):
             raise GraphError(f"family {name!r} got size {n}")
         return _SIMPLE_FAMILIES[name](n)
-    if name == "doubled":
-        inner, *rest = args
-        if isinstance(inner, str):
-            return gen_family(inner, rest if len(rest) != 1 else rest[0]).doubled()
-        return gen_family(inner[0], inner[1:] if len(inner) > 2 else inner[1]).doubled()
-    if name == "faithful":
-        k, seed = args if len(args) == 2 else (args[0], 0)
-        g = _faithful_instance(k, seed)
-        chi, col = chi_alpha2(g)
-        col = refine_split(g, col)
-        if col.detached:
-            raise CertificateError(
-                "generated instance has a detached class", dump={"k": k, "seed": seed}
-            )
-        rep = verify_immersion(g, faithful_immersion(g, col), chi, faithful_wrt=col)
-        if not rep.ok:
-            raise CertificateError(
-                "generated instance failed its immersion check",
-                dump={"k": k, "seed": seed, "failures": rep.failures},
-            )
-        return g
-    raise GraphError(f"unknown family {name!r}")
+    k, seed = args if len(args) == 2 else (args[0], 0)
+    g = _faithful_instance(k, seed)
+    chi, col = chi_alpha2(g)
+    col = refine_split(g, col)
+    if col.detached:
+        raise CertificateError(
+            "generated instance has a detached class", dump={"k": k, "seed": seed}
+        )
+    rep = verify_immersion(g, faithful_immersion(g, col), chi, faithful_wrt=col)
+    if not rep.ok:
+        raise CertificateError(
+            "generated instance failed its immersion check",
+            dump={"k": k, "seed": seed, "failures": rep.failures},
+        )
+    return g
 
 
 # -- edge-list text ----------------------------------------------------------

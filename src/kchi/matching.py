@@ -1,19 +1,18 @@
 """Maximum matching routines: general graphs (blossom) and bipartite (Kuhn).
 
-Both take plain neighbour data, so callers can match auxiliary graphs
-(complements, double covers) without building Multigraph instances.  The
-blossom matcher takes one neighbour bitmask per vertex: the immersion layer
-hands it ``live & ~adj(u) & ~(1 << u)`` for each live vertex ``u``, the
-complement of G[live] in global vertex ids, without building any list.
-The bipartite matcher takes adjacency lists and turns them into masks.
+Both take one neighbour bitmask per vertex, so callers can match auxiliary
+graphs (complements, double covers) without building Multigraph instances
+or lists.  The immersion layer hands the blossom matcher
+``live & ~adj(u) & ~(1 << u)`` for each live vertex ``u``, the complement
+of G[live] in global vertex ids; the factor solver hands the bipartite
+matcher its neighbour masks, warm-started from its previous matching.
 
 The bipartite matcher is Kuhn's augmenting-path search run as an explicit
-stack over neighbour bitmasks (:func:`_augment`), so its depth is bounded by
-memory, not by Python's recursion limit.  It returns exactly the matching
-of the textbook recursion that scans each sorted adjacency list in order:
-the stack takes the lowest unseen neighbour (``avail & -avail``), which is
-the next entry of that list not yet seen.  Callers that keep neighbour
-masks themselves (``factor._FactorSolver``) call :func:`_augment` directly.
+stack over the masks, so its depth is bounded by memory, not by Python's
+recursion limit.  It returns exactly the matching of the textbook
+recursion that scans each sorted adjacency list in order: the stack takes
+the lowest unseen neighbour (``avail & -avail``), which is the next entry
+of that list not yet seen.
 
 One seen mask serves every root until the next augmentation.  That is
 sound: a right vertex seen in a failed search is *dead*.  The failed search
@@ -150,42 +149,27 @@ def matching_size(mate: Sequence[int]) -> int:
 
 
 def bipartite_maximum_matching(
-    n_left: int,
+    masks: Sequence[int],
     n_right: int,
-    adj: Sequence[Sequence[int]],
-    mate_left: list[int] | None = None,
-    mate_right: list[int] | None = None,
+    mate_left: Sequence[int] | None = None,
+    mate_right: Sequence[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph (Kuhn's augmenting paths).
 
-    ``adj[u]`` lists right-side neighbours of left vertex ``u``, which are
-    tried in ascending order.  Existing partial matchings warm-start the
-    search; they are not mutated.
+    ``masks[u]`` is the bitmask of the right neighbours (``0..n_right-1``)
+    of left vertex ``u``.  Existing partial matchings warm-start the search;
+    they are copied, not mutated.  Exposed left vertices are roots in
+    ascending order; the search from a root walks alternating paths depth
+    first.  Its stack holds only left vertices: each one below the root was
+    reached through the right vertex it is matched to, so the path is read
+    back from the left mates when it is flipped.
     """
-    mate_l = [-1] * n_left if mate_left is None else list(mate_left)
+    mate_l = [-1] * len(masks) if mate_left is None else list(mate_left)
     mate_r = [-1] * n_right if mate_right is None else list(mate_right)
-    masks = [0] * n_left
-    for u in range(n_left):
-        for w in adj[u]:
-            masks[u] |= 1 << w
-    _augment(masks, mate_l, mate_r)
-    return mate_l, mate_r
-
-
-def _augment(masks: Sequence[int], mate_l: list[int], mate_r: list[int]) -> None:
-    """Augment ``mate_l``/``mate_r`` in place to a maximum matching.
-
-    ``masks[u]`` is the bitmask of right neighbours of left vertex ``u``.
-    Exposed left vertices are roots in ascending order; the search from a
-    root walks alternating paths depth first.  Its stack holds only left
-    vertices: each one below the root was reached through the right vertex
-    it is matched to, so the path is read back from ``mate_l`` when it is
-    flipped.
-    """
-    everyone = (1 << len(mate_r)) - 1
+    everyone = (1 << n_right) - 1
     unseen = everyone  # right vertices not seen since the last augmentation
-    for root in range(len(masks)):
-        if mate_l[root] != -1 or not masks[root] & unseen:
+    for root, mask in enumerate(masks):
+        if mate_l[root] != -1 or not mask & unseen:
             continue
         lefts = [root]
         u = root
@@ -208,3 +192,4 @@ def _augment(masks: Sequence[int], mate_l: list[int], mate_r: list[int]) -> None
             if not lefts:
                 break
             u = lefts[-1]
+    return mate_l, mate_r

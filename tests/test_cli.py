@@ -328,6 +328,26 @@ class TestErrorDiscipline:
         assert code == 2
         assert doc["error"]["type"] == "GraphError"
 
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["gen", "cycle"], "GraphError"),
+            (["gen", "cycle", "5", "6"], "GraphError"),
+            (["gen", "cycle", "x"], "GraphError"),
+            (["gen", "doubled"], "GraphError"),
+            (["gen", "faithful"], "GraphError"),
+            (["gen", "faithful", "2", "3", "4"], "GraphError"),
+            (["stress", "--n", "0", "--count", "3"], "UsageError"),
+            (["stress", "--count", "-2"], "UsageError"),
+            (["gen", "--n", "5", "--density", "nan"], "UsageError"),
+            (["stress", "--count", "1", "--density", "inf"], "UsageError"),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_generator_or_stress_parameters_exit_2(self, run, argv, kind):
+        code, doc, _ = run(*argv)
+        assert code == 2 and doc["error"]["type"] == kind
+
     def test_colours_a_long_path(self, run):
         n = 2000
         text = f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))

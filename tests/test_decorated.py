@@ -1,5 +1,7 @@
 """Tests for the decorated (reserve/relief) colouring construction."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from kchi.decorated import (
 )
 from kchi.errors import CertificateError, PremiseError
 from kchi.factor import _edge_handout, _solver_for
+from kchi.generators import gen_multigraph
 from kchi.graphs import Multigraph
 
 from helpers import cycle, complete, random_regions, random_simple, star
@@ -495,3 +498,42 @@ class TestCampaign:
                 list(dec.reserved) + list(dec.relief) + list(dec.colour_of)
             )
             assert ids == list(range(g.m))
+
+
+# Digest of the decorated colourings below, recorded before the factor
+# solver's S and T became bitmasks; the solver must keep every choice.
+CRITICAL_COLOURINGS = "f6e0808de2518157d27be3d63b9cc99242e27f537f2dd0379d3f427b863f3143"
+
+
+def test_critical_colourings_pinned():
+    """sha256 over ``critical_colouring`` on 300 seeded ``gen_multigraph``
+    graphs (n ≤ 24) with random regions that meet the premise, then on the
+    all-free input whose tie-breaks all clash.  About 40% of the solves have
+    S ≠ ∅, so the prioritised rebuild of H[S ∪ T] decides the marks; a
+    raised ``CertificateError`` is hashed by its message.
+    """
+    rng = random.Random(20262)
+    cases = []
+    for i in range(300):
+        n, density, seed = 1 + i % 24, rng.random(), rng.randrange(2**32)
+        g = gen_multigraph(n, density, seed, max_mult=rng.randint(1, 3))
+        palette = g.max_degree() + rng.randint(0, 2)
+        if palette:
+            cases.append((g, palette, random_regions(g, palette, rng)))
+    clash = Multigraph(8, [(0, 5), (0, 7), (1, 3), (1, 3), (1, 3), (1, 3), (3, 4), (3, 4),
+                           (3, 6), (3, 6), (3, 6), (3, 6), (4, 5), (6, 7)])
+    cases.append((clash, 10, all_free(10, 8)))
+    h = hashlib.sha256()
+    for g, palette, reg in cases:
+        try:
+            dec = critical_colouring(g, palette, reg)
+        except CertificateError as exc:
+            h.update(str(exc).encode() + b"\n")
+            continue
+        h.update(json.dumps([
+            sorted(dec.reserved.items()),
+            sorted(dec.relief.items()),
+            sorted(dec.colour_of.items()),
+            sorted((c, sorted(xs)) for c, xs in dec.uncovered_at.items()),
+        ]).encode() + b"\n")
+    assert h.hexdigest() == CRITICAL_COLOURINGS

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -23,6 +25,7 @@ from kchi.factor import (
     max_deficiency_pair,
     max_f_bounded_subgraph,
 )
+from kchi.generators import gen_multigraph
 from kchi.graphs import Multigraph
 from helpers import complete, cycle, path, random_multigraph, random_simple, star
 
@@ -236,3 +239,27 @@ def test_solver_keeps_degrees_and_neighbour_masks_current():
                 assert solver.weighted_degree(x) == solver.deg[x] == fresh
                 assert solver.nbr[x] == sum(1 << y for pair in solver.count if x in pair for y in pair if y != x)
         assert solver.deg == [0] * g.n and solver.nbr == [0] * g.n
+
+
+# Digest of the solver outputs below, recorded before the factor solver's S
+# and T became bitmasks; the solver must keep every choice.
+MAX_F_BOUNDED_SUBGRAPHS = "857556d1d336534cf4232b36389eaa76fbcc04f2eadfd2d6688a43551cd66b93"
+
+
+def test_max_f_bounded_subgraphs_pinned():
+    """sha256 over (S, T, 2-cycles, odd cycles) of ``max_f_bounded_subgraph``
+    on 100 seeded doubled ``gen_multigraph`` graphs, n ≤ 40.  They are sparse
+    (density < 0.3), so that 39 of them have S ≠ ∅ and go through the
+    shrink to a minimal pair and the rebuild of H[S ∪ T]."""
+    rng = random.Random(20263)
+    h = hashlib.sha256()
+    for i in range(100):
+        n, density, seed = 1 + i % 40, 0.3 * rng.random(), rng.randrange(2**32)
+        sub, pair = max_f_bounded_subgraph(gen_multigraph(n, density, seed).doubled())
+        h.update(json.dumps([
+            sorted(pair.s),
+            sorted(pair.t),
+            [(tc.u, tc.v, tc.edges) for tc in sub.two_cycles],
+            sub.odd_cycles,
+        ]).encode() + b"\n")
+    assert h.hexdigest() == MAX_F_BOUNDED_SUBGRAPHS

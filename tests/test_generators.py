@@ -96,6 +96,16 @@ class TestFamilies:
                 imm = faithful_immersion(g, col)
                 assert verify_immersion(g, imm, chi, faithful_wrt=col).ok
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("cycle", ()), ("cycle", (5, 6)), ("cycle", "x"), ("star", True), ("doubled", ()),
+         ("doubled", (5,)), ("doubled", ("cycle",)), ("faithful", ()), ("faithful", (2, 3, 4)),
+         ("faithful", ("x",))],
+    )
+    def test_missing_extra_or_non_integer_parameters(self, name, params):
+        with pytest.raises(GraphError, match="takes|needs"):
+            gen_family(name, params)
+
     def test_faithful_accepts_bare_size(self):
         assert gen_family("faithful", 3).edges == gen_family("faithful", (3, 0)).edges
 

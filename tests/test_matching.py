@@ -109,9 +109,14 @@ def test_blossom_mates_are_pinned():
     assert h.hexdigest() == "ead665aeb51dc65f079a9a5216793c476d3ce7ddc55fd16d480d0481f932ad71"
 
 
+def rows(adj):
+    """The bitmask rows of adjacency lists, as the bipartite matcher takes them."""
+    return [sum(1 << w for w in row) for row in adj]
+
+
 def test_bipartite_basic():
     # K_{2,3}: maximum matching 2
-    ml, mr = bipartite_maximum_matching(2, 3, [[0, 1, 2], [0, 1, 2]])
+    ml, mr = bipartite_maximum_matching(rows([[0, 1, 2], [0, 1, 2]]), 3)
     assert sorted(x for x in ml) == sorted(set(ml)) and -1 not in ml
     assert sum(1 for x in mr if x != -1) == 2
 
@@ -124,7 +129,7 @@ def test_bipartite_against_brute():
             sorted({rng.randrange(nr) for _ in range(rng.randint(0, nr))})
             for _ in range(nl)
         ]
-        ml, mr = bipartite_maximum_matching(nl, nr, adj)
+        ml, mr = bipartite_maximum_matching(rows(adj), nr)
         # encode as a general graph and compare sizes
         pairs = [(u, nl + w) for u in range(nl) for w in adj[u]]
         assert sum(1 for x in ml if x != -1) == brute_max_matching_size(nl + nr, pairs)
@@ -137,7 +142,7 @@ def test_bipartite_warm_start():
     adj = [[0, 1], [0], [0, 2]]
     ml0 = [1, -1, -1]
     mr0 = [-1, 0, -1]
-    ml, mr = bipartite_maximum_matching(3, 3, adj, ml0, mr0)
+    ml, mr = bipartite_maximum_matching(rows(adj), 3, ml0, mr0)
     assert -1 not in ml
     assert ml0 == [1, -1, -1], "inputs must not be mutated"
 
@@ -181,7 +186,7 @@ def test_bipartite_equals_recursive_kuhn():
                 if ml[u] != -1 and rng.random() < 0.5:
                     mr[ml[u]] = -1
                     ml[u] = -1
-        assert bipartite_maximum_matching(nl, nr, adj, ml, mr) == recursive_kuhn(nl, nr, adj, ml, mr)
+        assert bipartite_maximum_matching(rows(adj), nr, ml, mr) == recursive_kuhn(nl, nr, adj, ml, mr)
 
 
 def test_bipartite_deep_augmenting_path():
@@ -191,7 +196,7 @@ def test_bipartite_deep_augmenting_path():
     adj = [[1]] + [[i, i + 1] for i in range(1, n)]
     ml0 = [-1] + list(range(1, n))
     mr0 = [-1] + list(range(1, n)) + [-1]
-    ml, mr = bipartite_maximum_matching(n, n + 1, adj, ml0, mr0)
+    ml, mr = bipartite_maximum_matching(rows(adj), n + 1, ml0, mr0)
     assert ml == list(range(1, n + 1))
     assert mr == [-1] + list(range(n))
 
@@ -203,7 +208,7 @@ def test_bipartite_size_equals_hopcroft_karp():
         nl, nr = rng.randint(1, 400), rng.randint(1, 400)
         p = rng.choice([0.002, 0.01, 0.05, 0.2])
         adj = [sorted(w for w in range(nr) if rng.random() < p) for _ in range(nl)]
-        ml, mr = bipartite_maximum_matching(nl, nr, adj)
+        ml, mr = bipartite_maximum_matching(rows(adj), nr)
         graph = nx.Graph()
         graph.add_nodes_from(("L", u) for u in range(nl))
         graph.add_nodes_from(("R", w) for w in range(nr))
