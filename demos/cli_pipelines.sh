@@ -76,19 +76,26 @@ fi
 echo "rejected as expected (exit $status)"
 
 echo
-echo '# a malformed certificate is bad input, exit code 2 (never 3, a fault)'
-python3 - "$workdir/cert.json" "$workdir/malformed.json" <<'EOF'
+echo '# a malformed certificate is bad input, exit code 2 (never 3, a fault):'
+echo '# a string edge, and a classes field that is no list'
+python3 - "$workdir/cert.json" "$workdir" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
+edges = doc["paths"][0]["edges"]
 doc["paths"][0]["edges"] = ["a"]
-json.dump(doc, open(sys.argv[2], "w"))
+json.dump(doc, open(sys.argv[2] + "/malformed-edge.json", "w"))
+doc["paths"][0]["edges"] = edges
+doc["classes"] = 5
+json.dump(doc, open(sys.argv[2] + "/malformed-classes.json", "w"))
 EOF
-status=0
-kchi verify "$workdir/g.json" "$workdir/malformed.json" || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "BUG: malformed certificate gave exit $status, not 2"; exit 1
-fi
-echo "rejected as bad input (exit $status)"
+for bad in edge classes; do
+    status=0
+    kchi verify "$workdir/g.json" "$workdir/malformed-$bad.json" || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "BUG: malformed $bad gave exit $status, not 2"; exit 1
+    fi
+    echo "malformed $bad: rejected as bad input (exit $status)"
+done
 
 echo
 echo '# a malformed JSON graph document is bad input too, exit code 2'
@@ -120,6 +127,9 @@ echo
 echo '# exhaustive oracles for small instances'
 kchi gen cycle 7 | kchi oracle chi -
 kchi gen complete 5 | kchi oracle chi-prime-r - --r 2
+# options and operands in either order (set -e stops the run on a nonzero exit)
+kchi gen complete 5 > "$workdir/k5.json"
+kchi oracle chi-prime-r --r 2 "$workdir/k5.json"
 
 echo
 echo '# randomized stress: construct + verify in bulk'

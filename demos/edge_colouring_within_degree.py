@@ -22,7 +22,7 @@ from kchi import (
 
 
 def report(g: Multigraph, name: str, r: int = 2) -> None:
-    col = cycle_matching_colouring(g, r)
+    col = cycle_matching_colouring(g)
     assert validate_cm_colouring(g, col, r)
     used = sum(1 for cls in col.classes() if cls)
     print(f"{name}: Δ={g.max_degree()}  classes used: {used}")
@@ -44,7 +44,7 @@ rng = random.Random(7)
 for trial in range(200):
     g = gen_multigraph(rng.randint(1, 14), rng.random(), seed=trial, max_mult=3)
     r = rng.choice([2, 3, 5])
-    col = cycle_matching_colouring(g, r)
+    col = cycle_matching_colouring(g)
     assert col.palette <= max(g.max_degree(), 0) or g.m == 0
     assert validate_cm_colouring(g, col, r)
 print("\n200 random multigraphs: every palette within Δ, all classes valid")

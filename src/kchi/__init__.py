@@ -30,7 +30,6 @@ from .factor import (
     brute_force_deficiency,
     check_factor_properties,
     deficiency,
-    max_deficiency_pair,
     max_f_bounded_subgraph,
 )
 from .generators import (
@@ -89,7 +88,6 @@ __all__ = [
     "gen_alpha2",
     "gen_family",
     "gen_multigraph",
-    "max_deficiency_pair",
     "max_f_bounded_subgraph",
     "parse_certificate",
     "parse_edge_list",

@@ -101,7 +101,7 @@ def _verdict(report) -> dict:
 
 def _cmd_colour(args) -> int:
     g = _read_graph(args.graph)
-    colouring = cycle_matching_colouring(g, r=args.r)
+    colouring = cycle_matching_colouring(g)  # r-bounded for every r ≥ 2
     report = validate_cm_colouring(g, colouring, r=args.r)
     _print_json(
         {
@@ -282,16 +282,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+class _SubcommandParser(_Parser):
+    """Options and operands in any order: options are parsed first, operands
+    after.  Plain argparse fills ``oracle``'s optional ``graph`` with its
+    default as soon as an option follows ``value``, so ``oracle chi-prime-r
+    --r 2 FILE`` would leave FILE unrecognised.
+    """
+
+    _inside = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._inside:  # parse_known_intermixed_args calls back here, twice
+            return super().parse_known_args(args, namespace)
+        self._inside = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._inside = False
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kchi", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def graph_arg(p):
         p.add_argument("graph", nargs="?", default="-",
                        help="edge-list file, or - for stdin (default)")
 
     p = sub.add_parser("colour", help="cycle-matching edge colouring within max degree")
-    p.add_argument("--r", type=int, default=2, help="degree bound per colour class")
+    p.add_argument("--r", type=_int_from(2), default=2,
+                   help="degree bound per colour class the validator checks (≥ 2)")
     graph_arg(p)
     p.set_defaults(func=_cmd_colour)
 

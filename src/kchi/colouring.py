@@ -56,15 +56,12 @@ def spanning_ocm_set(g: Multigraph) -> frozenset[int]:
     return frozenset(_extract_ocm(solver, _edge_handout(g, solver)))
 
 
-def cycle_matching_colouring(g: Multigraph, r: int = 2) -> CycleMatchingColouring:
+def cycle_matching_colouring(g: Multigraph) -> CycleMatchingColouring:
     """Colour E(G) with at most Δ(G) ocm sets.
 
-    Any r ≥ 2 is served by the same construction, since a class made of
+    The colouring is r-bounded for every r ≥ 2, since a class made of
     single edges and odd cycles is regular of degree ≤ 2 ≤ r per component.
     """
-    if r <= 1:
-        raise PremiseError(f"r-bounded regular colouring requires r ≥ 2, got {r}")
-
     solver = _solver_for(g)
     take = _edge_handout(g, solver)
     colour_of: dict[int, int] = {}

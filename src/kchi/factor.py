@@ -5,7 +5,7 @@ doubled copy of some base graph), this module computes
 
 * the deficiency ``def(S, T) = f(T) - f(S) + q(S, T) - d_{G-S}(T)`` for
   ``f ≡ 2``,
-* a containment-minimal pair ``(S, T)`` maximizing the deficiency, and
+* the containment-minimal pair ``(S, T)`` maximizing the deficiency, and
 * a degree-≤2 subgraph ``H`` of maximum degree sum whose components are
   2-cycles (pairs of parallel edges) and odd cycles, structured so that
   ``H[S ∪ T]`` consists of 2-cycles plus ``|T| - |S|`` isolated vertices of
@@ -13,9 +13,10 @@ doubled copy of some base graph), this module computes
 
 The scalable algorithm avoids a general degree-constrained-subgraph solver:
 a maximum matching of the bipartite double cover of the support graph gives
-a half-integral optimum, the pair ``(S, T)`` falls out of alternating
-reachability, and the structure inside ``S ∪ T`` is rebuilt by bipartite
-matching.  A 3^n brute-force oracle guards all of it at small scale.
+a half-integral optimum, the minimal pair ``(S, T)`` is read straight off
+its alternating reachability, and the structure inside ``S ∪ T`` is rebuilt
+by bipartite matching.  A 3^n brute-force oracle guards all of it at small
+scale.
 
 The solver (:class:`_FactorSolver`) serves the colouring inductions, which
 solve, delete the extracted pairs and solve again about Δ times.  It keeps
@@ -24,11 +25,9 @@ pairs are deleted, and hands the masks straight to the iterative bitset
 matcher (``matching.bipartite_maximum_matching``) warm-started from the
 previous matching, so no step re-sums degrees, builds adjacency lists or
 recurses.  S and T stay bitmasks in global vertex ids throughout: the
-shrink to a minimal pair matches the rows ``nbr[v] & T`` and walks back
-over ``nbr[w] & S`` (the masks are symmetric), and the cover of T inside
-``S ∪ T`` is one bipartite matching of the rows ``nbr[v] & S`` whose roots
-are taken in priority order.  The pieces of the matching that make up H
-are read from the mate array in O(n).
+cover of T inside ``S ∪ T`` is one bipartite matching of the rows
+``nbr[v] & S`` whose roots are taken in priority order.  The pieces of the
+matching that make up H are read from the mate array in O(n).
 """
 
 from __future__ import annotations
@@ -57,10 +56,11 @@ def _as_table(f: FSpec, n: int) -> list[int]:
 class DeficiencyPair:
     """A disjoint vertex pair (S, T) with its deficiency value.
 
-    Every producer here returns a containment-minimal maximizer.  On an
-    even-multiplicity host with f ≡ 2 it additionally satisfies: T
-    independent, N(T) = S, value = 2|T| - 2|S|, and |N(X) ∩ T| > |X| for
-    every nonempty X ⊆ S.
+    Every producer here returns a containment-minimal maximizer.  The pair
+    ``max_f_bounded_subgraph`` returns on an even-multiplicity host with
+    f ≡ 2 also has T independent, N(T) = S, value = 2|T| - 2|S|, and
+    |N(X) ∩ T| > |X| for every nonempty X ⊆ S; ``check_factor_properties``
+    tests all four.
     """
 
     s: frozenset[int]
@@ -158,9 +158,11 @@ class _FactorSolver:
 
     ``count[(u, v)]`` is the number of *doubling pairs* available on the
     pair u-v (the doubled host graph has twice that many parallel edges).
-    The bipartite double-cover matching is kept across :meth:`solve` calls
-    so that the colouring induction, which repeatedly extracts an edge set
-    and deletes it, pays only for re-augmentation.  ``deg[v]`` (the sum of
+    ``pair_counts`` is taken as given: distinct pairs u < v with positive
+    counts, as ``_solver_for`` and ``_halved_counts`` build them.  The
+    bipartite double-cover matching is kept across :meth:`solve` calls so
+    that the colouring induction, which repeatedly extracts an edge set and
+    deletes it, pays only for re-augmentation.  ``deg[v]`` (the sum of
     ``count`` over v's pairs) and ``nbr[v]`` (the bitmask of the vertices
     sharing a pair with v) are kept current by :meth:`remove_copy` rather
     than recomputed.
@@ -168,14 +170,10 @@ class _FactorSolver:
 
     def __init__(self, n: int, pair_counts: Mapping[tuple[int, int], int]):
         self.n = n
-        self.count: dict[tuple[int, int], int] = {}
+        self.count = dict(pair_counts)
         self.nbr = [0] * n
         self.deg = [0] * n
         for (u, v), c in pair_counts.items():
-            if c <= 0:
-                continue
-            key = (u, v) if u < v else (v, u)
-            self.count[key] = self.count.get(key, 0) + c
             self.nbr[u] |= 1 << v
             self.nbr[v] |= 1 << u
             self.deg[u] += c
@@ -216,13 +214,24 @@ class _FactorSolver:
         )
 
     def solve(self, t_priority=None) -> _SupportFactor:
+        """One maximum 2-bounded subgraph of the current doubled graph.
+
+        (S, T) is read straight off a maximum matching of the bipartite
+        double cover B, and is already the minimal maximizer (Gallai–Edmonds;
+        Lovász & Plummer, *Matching Theory*).  Let D be the vertices of B
+        that some maximum matching misses: D is independent, and every
+        nonempty X ⊆ N(D) has |N(X) ∩ D| ≥ |X| + 1.  Swapping x_L ↔ x_R is
+        an automorphism of B, so D names the same vertices on both sides:
+        T = D (the left copies reachable from an exposed one), S = N(D)
+        (the right copies they reach), S and T are disjoint, and S expands
+        strictly into T.
+        """
         n = self.n
         nbr = self.nbr
         mate_l, mate_r = bipartite_maximum_matching(nbr, n, self.mate_l, self.mate_r)
         self.mate_l, self.mate_r = mate_l, mate_r
 
-        # alternating reachability from exposed left copies; the König cover
-        # of the double cover translates to (S, T) via per-vertex cover counts
+        # alternating reachability from exposed left copies: z_l is T, z_r is S
         z_l = 0
         z_r = 0
         stack = [v for v in range(n) if mate_l[v] == -1]
@@ -242,46 +251,7 @@ class _FactorSolver:
                     z_l |= 1 << p
                     stack.append(p)
 
-        s = z_r & ~z_l
-        t = z_l & ~z_r
-        if s:
-            s, t = self._shrink_to_minimal(s, t)
-        return self._build_structure(s, t, t_priority)
-
-    def _shrink_to_minimal(self, s: int, t: int) -> tuple[int, int]:
-        """Drop the maximal tight subset of S (with its T-neighbourhood).
-
-        On entry (S, T) maximizes the deficiency with T independent and
-        N(T) = S, which forces |N(X) ∩ T| ≥ |X| for all X ⊆ S; removing the
-        single maximal tight set makes the inequality strict everywhere.
-        The S vertices left are those an alternating path reaches from a T
-        vertex the S-into-T matching leaves exposed.
-        """
-        nbr = self.nbr
-        ml, mr = bipartite_maximum_matching(
-            [nbr[v] & t if s >> v & 1 else 0 for v in range(self.n)], self.n
-        )
-        if any(ml[v] == -1 for v in iter_bits(s)):
-            raise self._fail("shrink", "S not matchable into T at a deficiency maximizer")
-
-        reach_s = 0
-        reach_t = 0
-        stack = [w for w in iter_bits(t) if mr[w] == -1]
-        for w in stack:
-            reach_t |= 1 << w
-        while stack:
-            w = stack.pop()
-            for v in iter_bits(nbr[w] & s & ~reach_s):
-                if ml[v] != w:
-                    reach_s |= 1 << v
-                    w2 = ml[v]
-                    if not reach_t >> w2 & 1:
-                        reach_t |= 1 << w2
-                        stack.append(w2)
-
-        for v in iter_bits(s & ~reach_s):
-            t &= ~(1 << ml[v])
-        return reach_s, t
+        return self._build_structure(z_r, z_l, t_priority)
 
     def _build_structure(self, s: int, t: int, t_priority=None) -> _SupportFactor:
         n = self.n
@@ -419,27 +389,16 @@ def _halved_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _solve_halved(g: Multigraph) -> tuple[_SupportFactor, DeficiencyPair]:
-    """One solve on the support of the even-multiplicity ``g``, with its pair."""
-    res = _FactorSolver(g.n, _halved_counts(g)).solve()
-    return res, DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
-
-
-def max_deficiency_pair(g: Multigraph) -> DeficiencyPair:
-    """Containment-minimal maximizer of def(S, T) with f ≡ 2.
-
-    Requires every edge of ``g`` to have even multiplicity.
-    """
-    return _solve_halved(g)[1]
-
-
 def max_f_bounded_subgraph(g: Multigraph) -> tuple[FactorSubgraph, DeficiencyPair]:
     """Maximum-degree-sum subgraph with degrees ≤ 2, plus its witness pair.
 
     The subgraph consists of 2-cycles and odd cycles, attains degree sum
-    ``2 n - def(S, T)``, and covers every maximum-degree vertex.
+    ``2 n - def(S, T)``, and covers every maximum-degree vertex.  The pair
+    is the containment-minimal maximizer of def(S, T) with f ≡ 2.
+    Requires every edge of ``g`` to have even multiplicity.
     """
-    res, pair = _solve_halved(g)
+    res = _FactorSolver(g.n, _halved_counts(g)).solve()
+    pair = DeficiencyPair(s=res.s, t=res.t, value=2 * (len(res.t) - len(res.s)))
     two = []
     for u, v in res.two_cycles:
         ids = g.edge_ids_between(u, v)

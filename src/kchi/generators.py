@@ -379,12 +379,7 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
     if classes is None:
         classes = []
     containers = chain((corners, entries, classes), pairs, seqs)
-    leaves = chain(
-        corners,
-        chain.from_iterable(pairs),
-        chain.from_iterable(seqs),
-        chain.from_iterable(classes),
-    )
+    leaves = chain.from_iterable(chain((corners,), pairs, seqs, classes))
     # lazy chains: each test runs only once the containers before it are lists
     if (
         set(map(type, containers)) - {list}

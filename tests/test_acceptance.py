@@ -81,7 +81,7 @@ def test_criterion_3_palette_within_max_degree():
     for i in range(500):
         rng = random.Random(31_337 + i)
         g = gen_multigraph(rng.randint(1, 20), rng.random(), 31_337 + i, max_mult=3)
-        colouring = cycle_matching_colouring(g, r=2)
+        colouring = cycle_matching_colouring(g)
         assert colouring.palette <= g.max_degree(), list(g.edges)
         report = validate_cm_colouring(g, colouring, r=2)
         assert report.ok, report.failures
@@ -95,7 +95,7 @@ def test_criterion_4_star_tightness():
         g = star(s)
         for r in (2, 3):
             assert brute_force_chi_prime_r(g, r) == s
-            colouring = cycle_matching_colouring(g, r=r)
+            colouring = cycle_matching_colouring(g)
             assert colouring.palette == s
             assert validate_cm_colouring(g, colouring, r=r).ok
     print("criterion 4: PASS — K_{1,s} needs exactly s colours for s = 1..8, r = 2, 3")

@@ -50,6 +50,11 @@ class TestColour:
         code, doc, _ = run("colour", stdin=C5)
         assert code == 0 and doc["palette"] <= 2
 
+    def test_r_below_2_is_bad_input(self, run):
+        code, doc, _ = run("colour", "--r", "1", ("k3.txt", "3 3\n0 1\n1 2\n0 2\n"))
+        assert code == 2 and doc["error"]["type"] == "UsageError"
+        assert "--r" in doc["error"]["message"]
+
 
 class TestImmerse:
     def test_c5_gives_verified_k3(self, run):
@@ -151,8 +156,12 @@ class TestVerify:
             ("edges", [1.5]),
             ("classes", [7]),
             ("classes", [None]),
+            ("classes", 5),
+            ("classes", True),
+            ("classes", 1.5),
         ],
-        ids=["string-edge", "string-corner", "float-edge", "int-class", "null-class"],
+        ids=["string-edge", "string-corner", "float-edge", "int-class", "null-class",
+             "int-classes", "bool-classes", "float-classes"],
     )
     def test_malformed_leaves_are_bad_input(self, run, field, value):
         cert = self.cert_for(run, C5)
@@ -227,6 +236,10 @@ class TestOracle:
 
     def test_chi_prime_r_on_k5(self, run):
         code, doc, _ = run("oracle", "chi-prime-r", ("k5.txt", K5), "--r", "2")
+        assert code == 0 and doc["value"] == 2 and doc["r"] == 2
+
+    def test_option_between_value_and_graph(self, run):
+        code, doc, _ = run("oracle", "chi-prime-r", "--r", "2", ("k5.txt", K5))
         assert code == 0 and doc["value"] == 2 and doc["r"] == 2
 
     def test_immersion_exists(self, run):

@@ -80,7 +80,7 @@ def test_colouring_k3_one_colour():
 def test_colouring_star_needs_s_colours():
     for s in range(1, 7):
         for r in (2, 3):
-            col = cycle_matching_colouring(star(s), r)
+            col = cycle_matching_colouring(star(s))
             assert col.palette == s
             assert validate_cm_colouring(star(s), col, r).ok
 
@@ -90,11 +90,6 @@ def test_colouring_k5_within_delta():
     assert col.palette <= 4
     report = validate_cm_colouring(complete(5), col)
     assert report.ok and not report.details["even_cycles"]
-
-
-def test_colouring_rejects_r1():
-    with pytest.raises(PremiseError):
-        cycle_matching_colouring(complete(3), r=1)
 
 
 def test_colouring_empty_graph():

@@ -12,7 +12,9 @@ import pytest
 
 import kchi
 
-from kchi.errors import PremiseError, SizeGuardError
+from kchi.colouring import cycle_matching_colouring
+from kchi.decorated import critical_colouring
+from kchi.errors import CertificateError, PremiseError, SizeGuardError
 from kchi.factor import (
     DeficiencyPair,
     FactorSubgraph,
@@ -22,12 +24,19 @@ from kchi.factor import (
     brute_force_deficiency,
     check_factor_properties,
     deficiency,
-    max_deficiency_pair,
     max_f_bounded_subgraph,
 )
 from kchi.generators import gen_multigraph
-from kchi.graphs import Multigraph
-from helpers import complete, cycle, path, random_multigraph, random_simple, star
+from kchi.graphs import Multigraph, iter_bits
+from helpers import (
+    complete,
+    cycle,
+    path,
+    random_multigraph,
+    random_regions,
+    random_simple,
+    star,
+)
 
 F2 = lambda v: 2  # noqa: E731 — the degree bound used throughout §2
 
@@ -59,7 +68,7 @@ def test_deficiency_parity_term():
 
 
 def test_max_pair_doubled_star():
-    pair = max_deficiency_pair(star(3).doubled())
+    pair = max_f_bounded_subgraph(star(3).doubled())[1]
     assert pair.s == {0}
     assert pair.t == {1, 2, 3}
     assert pair.value == 4
@@ -67,13 +76,13 @@ def test_max_pair_doubled_star():
 
 def test_max_pair_doubled_c5_and_k2():
     for g in (cycle(5).doubled(), complete(2).doubled()):
-        pair = max_deficiency_pair(g)
+        pair = max_f_bounded_subgraph(g)[1]
         assert (pair.s, pair.t, pair.value) == (frozenset(), frozenset(), 0)
 
 
 def test_max_pair_rejects_odd_multiplicity():
     with pytest.raises(PremiseError, match="multiplicity"):
-        max_deficiency_pair(cycle(3))
+        max_f_bounded_subgraph(cycle(3))
 
 
 def test_subgraph_doubled_star():
@@ -186,12 +195,12 @@ def test_solver_agrees_with_brute_on_random_doubled_graphs():
     for trial in range(120):
         base = random_multigraph(rng.randint(1, 8), rng.randint(1, 2), 0.45, rng)
         g = base.doubled()
-        pair = max_deficiency_pair(g)
+        h, pair = max_f_bounded_subgraph(g)
         brute = brute_force_deficiency(g, F2)
         assert pair.value == brute.value, (trial, base.edges)
-        h, pair2 = max_f_bounded_subgraph(g)
-        assert pair2 == pair
-        problems = check_factor_properties(g, h, pair2)
+        # the brute force breaks ties toward the containment-minimal pair
+        assert (pair.s, pair.t) == (brute.s, brute.t), (trial, base.edges)
+        problems = check_factor_properties(g, h, pair)
         assert problems == [], (trial, base.edges, problems)
 
 
@@ -241,6 +250,40 @@ def test_solver_keeps_degrees_and_neighbour_masks_current():
         assert solver.deg == [0] * g.n and solver.nbr == [0] * g.n
 
 
+def test_every_solve_of_both_inductions_returns_a_minimal_pair(monkeypatch):
+    """``solve`` reads (S, T) straight off the double cover and enforces
+    nothing more.  On the support it solves, every pair must have T
+    independent, N(T) = S and S expanding strictly into T, also for the
+    warm-started solves after ``remove_copy`` in ``cycle_matching_colouring``
+    and ``critical_colouring``."""
+    real = _FactorSolver.solve
+    with_s = []
+
+    def checked(self, t_priority=None):
+        res = real(self, t_priority)
+        t_mask = sum(1 << x for x in res.t)
+        assert not any(self.nbr[x] & t_mask for x in res.t)
+        assert {y for x in res.t for y in iter_bits(self.nbr[x])} == res.s
+        support = Multigraph(self.n, list(self.count))
+        assert _strict_expansion_violation(support, res.s, res.t) is None
+        with_s.append(bool(res.s))
+        return res
+
+    monkeypatch.setattr(_FactorSolver, "solve", checked)
+    rng = random.Random(20264)
+    for i in range(80):
+        n, density, seed = 1 + i % 24, rng.random(), rng.randrange(2**32)
+        g = gen_multigraph(n, density, seed, max_mult=rng.randint(1, 3))
+        cycle_matching_colouring(g)
+        palette = g.max_degree() + rng.randint(0, 2)
+        if palette:
+            try:
+                critical_colouring(g, palette, random_regions(g, palette, rng))
+            except CertificateError:  # a tie-break clash; the solves before it count
+                pass
+    assert len(with_s) > 1000 and sum(with_s) > 300, (len(with_s), sum(with_s))
+
+
 # Digest of the solver outputs below, recorded before the factor solver's S
 # and T became bitmasks; the solver must keep every choice.
 MAX_F_BOUNDED_SUBGRAPHS = "857556d1d336534cf4232b36389eaa76fbcc04f2eadfd2d6688a43551cd66b93"
@@ -250,7 +293,7 @@ def test_max_f_bounded_subgraphs_pinned():
     """sha256 over (S, T, 2-cycles, odd cycles) of ``max_f_bounded_subgraph``
     on 100 seeded doubled ``gen_multigraph`` graphs, n ≤ 40.  They are sparse
     (density < 0.3), so that 39 of them have S ≠ ∅ and go through the
-    shrink to a minimal pair and the rebuild of H[S ∪ T]."""
+    rebuild of H[S ∪ T]."""
     rng = random.Random(20263)
     h = hashlib.sha256()
     for i in range(100):
