@@ -110,7 +110,7 @@ done
 
 echo
 echo '# bad generator or stress parameters are bad input too, exit code 2'
-for args in 'gen cycle' 'stress --n 0 --count 3'; do
+for args in 'gen cycle' 'gen cycle +-5' 'stress --n 0 --count 3'; do
     status=0
     kchi $args > /dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then

@@ -21,6 +21,7 @@ import concurrent.futures
 import json
 import logging
 import random
+import re
 import sys
 
 from .colouring import cycle_matching_colouring, validate_cm_colouring
@@ -154,7 +155,7 @@ def _cmd_gen(args) -> int:
     if args.family:
         name = args.family[0]
         params = tuple(
-            int(x) if x.lstrip("+-").isdigit() else x for x in args.family[1:]
+            int(x) if re.fullmatch(r"[+-]?\d+", x) else x for x in args.family[1:]
         )
         g = gen_family(name, params)
         origin: dict = {"family": name, "params": list(params)}

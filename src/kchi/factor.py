@@ -26,8 +26,9 @@ matcher (``matching.bipartite_maximum_matching``) warm-started from the
 previous matching, so no step re-sums degrees, builds adjacency lists or
 recurses.  S and T stay bitmasks in global vertex ids throughout: the
 cover of T inside ``S ∪ T`` is one bipartite matching of the rows
-``nbr[v] & S`` whose roots are taken in priority order.  The pieces of the
-matching that make up H are read from the mate array in O(n).
+``nbr[v] & S`` whose roots are taken in priority order.  Outside ``S ∪ T``
+H is read straight off the two mate arrays, which permute those vertices:
+each of their cycles is kept if odd and split into 2-cycles if even.
 """
 
 from __future__ import annotations
@@ -254,65 +255,45 @@ class _FactorSolver:
         return self._build_structure(z_r, z_l, t_priority)
 
     def _build_structure(self, s: int, t: int, t_priority=None) -> _SupportFactor:
-        n = self.n
-        mate_l = self.mate_l
-        inside = s | t
+        """H read straight off the double-cover matching, then H[S ∪ T] rebuilt.
 
-        # each pair the matching uses, once: a 2-cycle when the two copies of
-        # the pair are matched to each other, else a half edge
-        two: list[tuple[int, int]] = []
-        half_adj: list[list[int]] = [[] for _ in range(n)]
+        Gallai–Edmonds for the bipartite double cover B: every maximum
+        matching matches A(B) = S into D(B) = T, matches C(B) perfectly inside
+        itself and leaves only copies of T exposed.  So no matched pair
+        crosses the S∪T boundary, every matched pair inside S∪T joins S to T,
+        and every vertex with an exposed copy is in T (an exposed left copy
+        by construction: those seed the reachability).  Each is checked.
+        Once they hold, both mates of a vertex outside S∪T are defined and
+        outside S∪T, so the mates permute those vertices and the walk along
+        them never meets a -1.  Each of their cycles is walked from its least
+        vertex toward its lesser mate, kept if odd and split into
+        alternating 2-cycles if even.
+        """
+        n = self.n
+        mate_l, mate_r = self.mate_l, self.mate_r
+        inside = s | t
         for u, v in enumerate(mate_l):
+            if not t >> u & 1 and (v == -1 or mate_r[u] == -1):
+                raise self._fail("structure", f"exposed copy of {u} outside T")
             if v == -1:
-                continue
-            full = mate_l[v] == u
-            if full and v < u:
                 continue
             if (inside >> u & 1) != (inside >> v & 1):
                 a, b = (u, v) if u < v else (v, u)
                 raise self._fail("structure", f"component crosses the S∪T boundary at {a}-{b}")
-            if full:
-                if not inside >> u & 1:
-                    two.append((u, v))
-            else:
-                half_adj[u].append(v)
-                half_adj[v].append(u)
+            if inside >> u & 1 and (t >> u & 1) == (t >> v & 1):
+                raise self._fail("structure", f"matched pair {u}-{v} inside S∪T misses S or T")
 
-        # half-integral components: paths live inside S∪T (both endpoints in
-        # T), cycles inside are even and get rebuilt, cycles outside are kept
-        # as odd cycles or split into alternating 2-cycles.
-        seen = [False] * n
+        two: list[tuple[int, int]] = []
         odd_cycles: list[tuple[int, ...]] = []
-        for v0 in range(n):
-            if seen[v0] or len(half_adj[v0]) != 1:
-                continue
-            walk = [v0]
-            seen[v0] = True
-            prev, cur = v0, half_adj[v0][0]
-            while True:
-                walk.append(cur)
-                seen[cur] = True
-                nxts = [w for w in half_adj[cur] if w != prev]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-            if not t >> walk[0] & 1 or not t >> walk[-1] & 1:
-                raise self._fail("structure", f"open component endpoint outside T: {walk}")
-        for v0 in range(n):
-            if seen[v0] or not half_adj[v0]:
-                continue
+        rest = (1 << n) - 1 & ~inside
+        while rest:
+            v0 = (rest & -rest).bit_length() - 1
+            step = mate_l if mate_l[v0] < mate_r[v0] else mate_r
             cycle = [v0]
-            seen[v0] = True
-            prev, cur = v0, min(half_adj[v0])
-            while cur != v0:
-                cycle.append(cur)
-                seen[cur] = True
-                a, b = half_adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-            if inside >> cycle[0] & 1:
-                if len(cycle) % 2:
-                    raise self._fail("structure", f"odd cycle through S∪T: {cycle}")
-                continue  # rebuilt below via the S-T matching
+            while step[cycle[-1]] != v0:
+                cycle.append(step[cycle[-1]])
+            for v in cycle:
+                rest ^= 1 << v
             if len(cycle) % 2:
                 odd_cycles.append(tuple(cycle))
             else:

@@ -347,6 +347,8 @@ class TestErrorDiscipline:
             (["gen", "cycle"], "GraphError"),
             (["gen", "cycle", "5", "6"], "GraphError"),
             (["gen", "cycle", "x"], "GraphError"),
+            (["gen", "cycle", "+-5"], "GraphError"),
+            (["gen", "cycle", "²"], "GraphError"),
             (["gen", "doubled"], "GraphError"),
             (["gen", "faithful"], "GraphError"),
             (["gen", "faithful", "2", "3", "4"], "GraphError"),

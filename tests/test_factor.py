@@ -255,7 +255,9 @@ def test_every_solve_of_both_inductions_returns_a_minimal_pair(monkeypatch):
     nothing more.  On the support it solves, every pair must have T
     independent, N(T) = S and S expanding strictly into T, also for the
     warm-started solves after ``remove_copy`` in ``cycle_matching_colouring``
-    and ``critical_colouring``."""
+    and ``critical_colouring``.  H, read off the mate arrays, must put every
+    vertex outside S ∪ T on exactly one 2-cycle or odd cycle, and keep its
+    odd cycles odd and outside S ∪ T."""
     real = _FactorSolver.solve
     with_s = []
 
@@ -266,6 +268,14 @@ def test_every_solve_of_both_inductions_returns_a_minimal_pair(monkeypatch):
         assert {y for x in res.t for y in iter_bits(self.nbr[x])} == res.s
         support = Multigraph(self.n, list(self.count))
         assert _strict_expansion_violation(support, res.s, res.t) is None
+        inside = res.s | res.t
+        on_odd = [x for c in res.odd_cycles for x in c]
+        on_two = [x for pair in res.two_cycles for x in pair]
+        assert all(len(c) % 2 for c in res.odd_cycles) and not inside.intersection(on_odd)
+        assert not set(on_odd) & set(on_two)
+        assert sorted(x for x in on_odd + on_two if x not in inside) == sorted(
+            set(range(self.n)) - inside
+        )
         with_s.append(bool(res.s))
         return res
 
@@ -282,6 +292,39 @@ def test_every_solve_of_both_inductions_returns_a_minimal_pair(monkeypatch):
             except CertificateError:  # a tie-break clash; the solves before it count
                 pass
     assert len(with_s) > 1000 and sum(with_s) > 300, (len(with_s), sum(with_s))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        ("crossing", "crosses the S∪T boundary"),
+        ("inside", "inside S∪T misses S or T"),
+        ("exposed", "exposed copy of 4 outside T"),
+    ],
+)
+def test_structure_faults_fire_on_tampered_mates(tamper, message):
+    """Doubled K_{1,3} plus a doubled triangle: S = {0}, T = the leaves and
+    the triangle outside.  Each tamper of the mate arrays must be caught
+    before the walk over the cycles outside S ∪ T reads a -1 mate."""
+    pairs = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)]
+    solver = _FactorSolver(7, dict.fromkeys(pairs, 1))
+    res = solver.solve()
+    assert res.s == {0} and res.t == {1, 2, 3}
+    mate_l, mate_r = list(solver.mate_l), list(solver.mate_r)
+    if tamper == "crossing":  # 0 and 4 swap partners: both pairs cross
+        b, d = mate_l[0], mate_l[4]
+        mate_l[0], mate_l[4], mate_r[d], mate_r[b] = d, b, 0, 4
+    elif tamper == "inside":  # two leaves of T matched to each other
+        p = next(x for x in (1, 2, 3) if mate_l[x] == -1)
+        q = next(x for x in (1, 2, 3) if mate_r[x] == -1 and x != p)
+        mate_l[p], mate_r[q] = q, p
+    else:  # the triangle pair matched into 4's right copy unmatched
+        c = mate_r[4]
+        mate_l[c] = mate_r[4] = -1
+    solver.mate_l, solver.mate_r = mate_l, mate_r
+    with pytest.raises(CertificateError, match=message) as exc:
+        solver._build_structure(0b1, 0b1110)
+    assert exc.value.dump["stage"] == "structure"
 
 
 # Digest of the solver outputs below, recorded before the factor solver's S
