@@ -86,7 +86,7 @@ print("\nroutes (far corner → … → class corner):")
 for (i, y), walk in sorted(routes.items()):
     print(f"  class {i}, far corner {y}: {' → '.join(map(str, walk))}")
 
-# the driver runs the same pipeline inside the recursion
+# the constructor runs the same pipeline at every level of its chain
 imm = construct_immersion(g)
 assert verify_immersion(g, imm, chi).ok
 assert set(imm.corners) >= {7, 9, 10}

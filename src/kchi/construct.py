@@ -1,14 +1,17 @@
-"""Recursive construction of a K_χ immersion in a graph with no independent triple.
+"""Construction of a K_χ immersion in a graph with no independent triple.
 
-The recursion follows the colouring's shape.  With no singleton classes, any
-vertex can be deleted without lowering the chromatic number.  With singletons
-but no attached pair class, every singleton is universal and extends a
-recursive immersion by direct edges.  Otherwise the detached pair classes are
-immersed recursively, the singletons and attached classes get a faithful
-immersion, and the two corner sets are joined: singletons reach the far
-corners by direct edges, and each attached class's corner reaches a far
-corner y either directly (when the edge exists) or along a short bridge
-through non-corner vertices.
+The construction follows the colouring's shape, level by level.  With no
+singleton classes, any vertex can be deleted without lowering the chromatic
+number.  With singletons but no attached pair class, every singleton is
+universal and extends the immersion of the rest by direct edges.  Otherwise
+the detached pair classes are immersed on their own, the singletons and
+attached classes get a faithful immersion, and the two corner sets are
+joined: singletons reach the far corners by direct edges, and each attached
+class's corner reaches a far corner y either directly (when the edge exists)
+or along a short bridge through non-corner vertices.  Each level hands down
+at most one smaller vertex set, so the levels form a chain, walked by a loop
+rather than a recursion: down once to audit every level and pick its vertex
+set, then up once to lay each level's paths after those of the level below.
 
 Bridges are rationed through an auxiliary digraph whose arcs encode the
 available length-2 detours between a class's inner half and its corner.  Each
@@ -23,19 +26,20 @@ each conflicting pair to drop, reroute or share, after which every remaining
 corner pair takes its lowest free arc.  All of this is per construction step,
 and costs time in proportion to the arcs kept, not to the detours offered.
 
-Each recursion level proves its colouring optimal exactly once, with one
-blossom matching: the top level reuses the colouring of ``chi_alpha2`` and
-every recursive call computes ``_optimal_colouring`` of its vertex set.  The
-refinement and the faithful side work on that colouring without proving it
-again.  The final immersion is replayed once, through ``verify_immersion``
-against χ, before being returned, so callers need not replay it themselves.
+Each level proves its colouring optimal exactly once, with one blossom
+matching: the top level reuses the colouring of ``chi_alpha2`` and every
+level below computes ``_optimal_colouring`` of the vertex set handed down,
+whose class count must be the one the level above expects.  The refinement
+and the faithful side work on that colouring without proving it again.  The
+final immersion is replayed once, through ``verify_immersion`` against χ,
+before being returned, so callers need not replay it themselves.
 
-Each path is stored once.  The recursion fills one paths dict, passed down
-like the set of spent edge identities, and each level returns only its
-corners; the faithful side's paths are merged in once.  Corner pairs joined
-by a single edge go through one direct-edge lane (``immersion._join_directly``,
-shared with the faithful side), and only longer routes are realized edge by
-edge with ``_as_path``.
+Each path is stored once.  Every level writes into one paths dict and one
+set of spent edge identities, the faithful side included, and only the
+corners are handed between levels.  Corner pairs joined by a single edge go
+through one direct-edge lane (``immersion._join_directly``, shared with the
+faithful side), and only longer routes are realized edge by edge with
+``_as_path``.
 """
 
 from __future__ import annotations
@@ -471,139 +475,124 @@ def construct_immersion(g: Multigraph) -> Immersion:
     return imm
 
 
-def _immerse_part(
-    g: Multigraph, verts: tuple[int, ...], used: set[int], paths: dict
-) -> tuple[int, ...]:
-    """Immerse G[verts], proving its colouring optimal once for this level."""
-    if len(verts) <= 1:
-        return verts
-    return _immerse(g, _optimal_colouring(g, verts), used, paths)
-
-
 def _immerse(
     g: Multigraph, col: PairColouring, used: set[int], paths: dict
 ) -> tuple[int, ...]:
     """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it.
 
-    The paths go into ``paths``; the corners are returned.
+    The paths go into ``paths``; the corners are returned.  The first loop
+    walks down the level chain, the second back up it.
     """
-    verts = col.vertices
-    chi = len(col.classes)
+    levels = []  # the refined colourings of levels with singletons, top first
+    while True:
+        verts = col.vertices
+        chi = len(col.classes)
+        if chi == len(verts):  # complete graph: the identity immersion
+            _join_directly(g, combinations(verts, 2), used, paths)
+            corners = verts
+            break
 
-    if chi == len(verts):  # complete graph: the identity immersion
-        _join_directly(g, combinations(verts, 2), used, paths)
-        return verts
-
-    bad = run_colouring_audits(g, col)
-    if bad:
-        raise CertificateError(
-            "structural audit failed on an optimal colouring",
-            dump={"failures": bad[:6], "verts": verts},
-        )
-
-    if not col.singletons:
-        # all classes are pairs; deleting one vertex keeps the count
-        corners = _immerse_part(g, verts[1:], used, paths)
-        if len(corners) != chi:
-            raise CertificateError(
-                "vertex deletion changed the chromatic number",
-                dump={"dropped": verts[0], "chi": chi, "got": len(corners)},
-            )
-        return corners
-
-    # ``col`` is optimal, and a refine swap keeps the class count, so the
-    # refined colouring needs no second proof; neither does its restriction
-    # to the singletons and attached classes below, since an optimal
-    # colouring restricted to a union of its classes is still optimal.
-    col = _refine_split(g, col)
-    bad = audit_refined(g, col)
-    if bad:
-        raise CertificateError(
-            "counting inequality still violated after refinement",
-            dump={"failures": bad[:6]},
-        )
-
-    singles = col.singletons
-    if not col.attached:
-        # every singleton is universal in G[verts] and extends directly
-        for u in singles:
-            if any(w != u and not g.has_edge(u, w) for w in verts):
-                raise CertificateError(
-                    "detached singleton misses a vertex", dump={"singleton": u}
-                )
-        single_set = set(singles)
-        stripped = tuple(w for w in verts if w not in single_set)
-        sub = _immerse_part(g, stripped, used, paths)
-        if len(sub) != chi - len(singles):
-            raise CertificateError(
-                "stripping the singletons changed the remainder's count",
-                dump={"chi": chi, "singles": singles, "got": len(sub)},
-            )
-        _join_directly(
-            g, ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + sub), used, paths
-        )
-        return tuple(sorted(singles + sub))
-
-    # general shape: immerse the detached side, the attached side, then join
-    y_union = tuple(sorted(v for cls in col.detached for v in cls))
-    y_corners = _immerse_part(g, y_union, used, paths)
-    if len(y_corners) != len(col.detached):
-        raise CertificateError(
-            "detached side used an unexpected corner count",
-            dump={"classes": col.detached, "corners": y_corners},
-        )
-
-    attached = set(col.attached)
-    x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in attached]
-    imm_x = _faithful_immersion(g, _with_split(g, x_classes))
-    for seq in imm_x.paths.values():
-        for e in seq:
-            if e in used:
-                raise CertificateError(
-                    "faithful side touched an edge already spent", dump={"edge": e}
-                )
-            used.add(e)
-    clash = paths.keys() & imm_x.paths.keys()
-    if clash:
-        raise _two_paths(min(clash))
-    paths.update(imm_x.paths)
-
-    # every (singleton, far corner) and unbridged (class corner, far corner)
-    # pair is one edge; these pairs share no vertex pair with a bridge
-    direct = [(a, y) for a in singles for y in y_corners]
-    for v in sorted(_grouped_by_owner(col)):
-        d = build_bridge_digraph(g, col, v, y_corners)
-        bad = audit_out_degree(d)
+        bad = run_colouring_audits(g, col)
         if bad:
             raise CertificateError(
-                "bridge digraph below its degree guarantee",
-                dump={"owner": v, "failures": bad[:6]},
+                "structural audit failed on an optimal colouring",
+                dump={"failures": bad[:6], "verts": verts},
             )
-        restrict_out_degree(d)
-        h = d.conflict
-        regions = decorated_regions(d)
-        dec = critical_colouring(h, len(d.y_corners), regions)
-        rep = validate_decorated(h, regions, dec)
-        if not rep.ok:
-            raise CertificateError(
-                "conflict-graph colouring failed its own validator",
-                dump={"owner": v, "failures": rep.failures[:6]},
-            )
-        routes = assign_bridges(d, dec)
-        for i, bridged in enumerate(d.bridged):
-            for y in d.y_corners:
-                if y in bridged:
-                    key, ids = _as_path(g, routes[(i, y)], used)
-                    if key in paths:
-                        raise _two_paths(key)
-                    paths[key] = ids
-                else:
-                    direct.append((d.corner[i], y))
-    _join_directly(g, direct, used, paths)
 
-    corners = tuple(sorted(imm_x.corners + y_corners))
-    if len(corners) != chi:
-        raise CertificateError(
-            "merged corner count mismatch", dump={"corners": corners, "chi": chi}
-        )
+        if not col.singletons:
+            # all classes are pairs; deleting one vertex keeps the count
+            down, expect = verts[1:], chi
+        else:
+            # a refine swap keeps the class count, so the refined colouring
+            # needs no second proof; nor does its restriction to a union of
+            # its classes (the faithful side), which is still optimal
+            col = _refine_split(g, col)
+            bad = audit_refined(g, col)
+            if bad:
+                raise CertificateError(
+                    "counting inequality still violated after refinement",
+                    dump={"failures": bad[:6]},
+                )
+            if not col.attached:
+                # every singleton is universal in G[verts] and extends directly
+                for u in col.singletons:
+                    if any(w != u and not g.has_edge(u, w) for w in verts):
+                        raise CertificateError(
+                            "detached singleton misses a vertex", dump={"singleton": u}
+                        )
+                single_set = set(col.singletons)
+                down = tuple(w for w in verts if w not in single_set)
+                expect = chi - len(col.singletons)
+            else:
+                down = tuple(sorted(v for cls in col.detached for v in cls))
+                expect = len(col.detached)
+            levels.append(col)
+
+        # each level ends with one corner per class of its colouring, so the
+        # level below must have the class count this level expects of it
+        col = _optimal_colouring(g, down) if len(down) > 1 else None
+        got = len(col.classes) if col else len(down)
+        if got != expect:
+            raise CertificateError(
+                "handed-down vertex set has an unexpected class count",
+                dump={"verts": down, "expected": expect, "got": got},
+            )
+        if col is None:
+            corners = down
+            break
+
+    for col in reversed(levels):
+        singles = col.singletons
+        if not col.attached:
+            later = ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + corners)
+            _join_directly(g, later, used, paths)
+            corners = tuple(sorted(singles + corners))
+            continue
+
+        # general shape: the detached side below gave the far corners; the
+        # singletons and attached classes get a faithful immersion, then join
+        y_corners = corners
+        attached = set(col.attached)
+        x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in attached]
+        x_corners = _faithful_immersion(g, _with_split(g, x_classes), used, paths)
+
+        # every (singleton, far corner) and unbridged (class corner, far corner)
+        # pair is one edge; these pairs share no vertex pair with a bridge
+        direct = [(a, y) for a in singles for y in y_corners]
+        for v in sorted(_grouped_by_owner(col)):
+            d = build_bridge_digraph(g, col, v, y_corners)
+            bad = audit_out_degree(d)
+            if bad:
+                raise CertificateError(
+                    "bridge digraph below its degree guarantee",
+                    dump={"owner": v, "failures": bad[:6]},
+                )
+            restrict_out_degree(d)
+            h = d.conflict
+            regions = decorated_regions(d)
+            dec = critical_colouring(h, len(d.y_corners), regions)
+            rep = validate_decorated(h, regions, dec)
+            if not rep.ok:
+                raise CertificateError(
+                    "conflict-graph colouring failed its own validator",
+                    dump={"owner": v, "failures": rep.failures[:6]},
+                )
+            routes = assign_bridges(d, dec)
+            for i, bridged in enumerate(d.bridged):
+                for y in d.y_corners:
+                    if y in bridged:
+                        key, ids = _as_path(g, routes[(i, y)], used)
+                        if key in paths:
+                            raise _two_paths(key)
+                        paths[key] = ids
+                    else:
+                        direct.append((d.corner[i], y))
+        _join_directly(g, direct, used, paths)
+
+        corners = tuple(sorted(x_corners + y_corners))
+        if len(corners) != len(col.classes):
+            raise CertificateError(
+                "merged corner count mismatch",
+                dump={"corners": corners, "chi": len(col.classes)},
+            )
     return corners

@@ -179,8 +179,8 @@ class _FactorSolver:
             self.nbr[v] |= 1 << u
             self.deg[u] += c
             self.deg[v] += c
-        self.mate_l = [-1] * n
-        self.mate_r = [-1] * n
+        # _warm: the mates the last solve started from, for fault dumps
+        self.mate_l, self.mate_r = self._warm = [-1] * n, [-1] * n
 
     def weighted_degree(self, v: int) -> int:
         return self.deg[v]
@@ -211,6 +211,8 @@ class _FactorSolver:
                 "stage": stage,
                 "n": self.n,
                 "pair_counts": sorted(self.count.items()),
+                "mate_l": list(self._warm[0]),
+                "mate_r": list(self._warm[1]),
             },
         )
 
@@ -229,6 +231,7 @@ class _FactorSolver:
         """
         n = self.n
         nbr = self.nbr
+        self._warm = (self.mate_l, self.mate_r)  # the matcher copies them
         mate_l, mate_r = bipartite_maximum_matching(nbr, n, self.mate_l, self.mate_r)
         self.mate_l, self.mate_r = mate_l, mate_r
 

@@ -360,7 +360,8 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
     Every container must be a JSON list and every corner, pair entry, edge
     and class entry a plain integer (not ``true``/``false``); anything else
     raises ``GraphError``.  Values are not judged here: a class or corner
-    outside the graph parses, and ``verify_immersion`` rejects it.
+    outside the graph parses, and ``verify_immersion`` rejects it.  A present
+    ``classes`` field, even an empty one, is the faithful colouring.
     """
     try:
         doc = json.loads(text)
@@ -373,11 +374,10 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
         entries = doc["paths"]
         pairs = list(map(itemgetter("pair"), entries))
         seqs = list(map(itemgetter("edges"), entries))
-        classes = doc.get("classes")
+        faithful = "classes" in doc
+        classes = doc["classes"] if faithful else []
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed certificate: missing or bad field {exc}") from None
-    if classes is None:
-        classes = []
     containers = chain((corners, entries, classes), pairs, seqs)
     leaves = chain.from_iterable(chain((corners,), pairs, seqs, classes))
     # lazy chains: each test runs only once the containers before it are lists
@@ -390,5 +390,5 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
             "malformed certificate: corners, pairs, edges and classes must be lists of integers"
         )
     paths = dict(zip(map(tuple, pairs), map(tuple, seqs)))
-    col = _with_split(g, list(map(tuple, classes))) if classes else None
+    col = _with_split(g, list(map(tuple, classes))) if faithful else None
     return Immersion(tuple(corners), paths, faithful_to=col)

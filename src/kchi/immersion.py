@@ -17,7 +17,8 @@ optimal by construction.  The public ``refine_split`` and ``faithful_immersion``
 prove their input optimal (``_require_optimal``) and raise ``PremiseError``
 otherwise; the constructor calls their private cores ``_refine_split`` and
 ``_faithful_immersion`` directly, on colourings derived from one it has just
-built, so nothing is proved twice.
+built, so nothing is proved twice.  ``_faithful_immersion`` writes into the
+caller's paths dict and spent-edge set and returns only the corners.
 
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and
@@ -28,7 +29,8 @@ helpers check the structural facts the constructor relies on (shared
 attachment vertices, the singleton clique, adjacency of inner halves, the
 four-class K₄, and the counting inequality enforced by ``refine_split``);
 they return failure strings instead of raising so tests can point them at
-adversarial inputs.
+adversarial inputs.  They read adjacency masks; the K₄ audit pairs up only
+the singletons' non-edges into pair classes.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ class Immersion:
     corners: tuple[int, ...]
     paths: dict[tuple[int, int], tuple[int, ...]]
     faithful_to: PairColouring | None = None
-
-
-def _edge_count(g: Multigraph, v: int, cls: tuple[int, ...]) -> int:
-    near = g.adjacency_mask(v)
-    return sum(near >> a & 1 for a in cls)
 
 
 def _bits(vertices) -> int:
@@ -377,11 +374,19 @@ def faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
     ``col`` is an optimal colouring of its vertices.
     """
     _require_optimal(g, col, "faithful immersion")
-    return _faithful_immersion(g, col)
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    corners = _faithful_immersion(g, col, set(), paths)
+    return Immersion(corners, paths, faithful_to=col)
 
 
-def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
-    """``faithful_immersion`` on a colouring already known to be optimal."""
+def _faithful_immersion(
+    g: Multigraph, col: PairColouring, used: set[int], paths: dict
+) -> tuple[int, ...]:
+    """``faithful_immersion`` on a colouring already known to be optimal.
+
+    The paths go into ``paths`` and their edges into ``used``, both shared
+    with the caller; the corners are returned.
+    """
     if col.detached:
         raise PremiseError(
             f"pair class {col.detached[0]} has no singleton attached by exactly one edge"
@@ -390,8 +395,6 @@ def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
     inner = {cls: cls[0] if cls[1] == labels[cls] else cls[1] for cls in col.attached}
     corners = tuple(sorted(list(col.singletons) + [labels[cls] for cls in col.attached]))
 
-    used: set[int] = set()
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
     singles = col.singletons
     halves = [(labels[cls], inner[cls]) for cls in col.attached]
     direct = list(combinations(singles, 2)) + [(a, c) for a in singles for c, _ in halves]
@@ -407,9 +410,10 @@ def _faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
             if not g.has_edge(route[t], route[t + 1]):
                 raise _missing_edge(route, (route[t], route[t + 1]))
         key, ids = _as_path(g, route, used)
+        if key in paths:
+            raise _two_paths(key)
         paths[key] = ids
-
-    return Immersion(corners, paths, faithful_to=col)
+    return corners
 
 
 # -- independent verifier ---------------------------------------------------
@@ -548,10 +552,11 @@ def audit_shared_attachment(g: Multigraph, col: PairColouring) -> list[str]:
 
 def audit_singleton_clique(g: Multigraph, col: PairColouring) -> list[str]:
     """Any two singleton classes are adjacent (they would merge otherwise)."""
+    singles = _bits(col.singletons)
     return [
         f"singletons {u} and {w} are non-adjacent"
-        for u, w in combinations(col.singletons, 2)
-        if not g.has_edge(u, w)
+        for u in col.singletons
+        for w in iter_bits(singles & ~g.adjacency_mask(u) & -(2 << u))
     ]
 
 
@@ -559,11 +564,9 @@ def audit_inner_adjacency(g: Multigraph, col: PairColouring) -> list[str]:
     """Inner halves of classes attached to a common singleton are adjacent."""
     bad = []
     for v in col.singletons:
-        inners = [
-            next(a for a in cls if not g.has_edge(v, a))
-            for cls in col.pairs
-            if _edge_count(g, v, cls) == 1
-        ]
+        row = g.adjacency_mask(v)
+        # v meets (p, q) once when their bits differ; the inner half is the missed one
+        inners = [q if row >> p & 1 else p for p, q in col.pairs if (row >> p ^ row >> q) & 1]
         bad.extend(
             f"inner halves {p} and {q} at singleton {v} are non-adjacent"
             for p, q in combinations(inners, 2)
@@ -576,29 +579,30 @@ def audit_double_nonedge(g: Multigraph, col: PairColouring) -> list[str]:
     """Two singleton non-edges into distinct pair classes force a K₄.
 
     If u misses one half of class A and v ≠ u misses one half of class B ≠ A,
-    then u, v and the two other halves are pairwise adjacent.
+    then u, v and the two other halves are pairwise adjacent.  Only the
+    singletons' non-edges into pair classes are listed and paired, so the
+    scan costs the square of their number, not of |classes| · |singletons|.
     """
     if len(col.singletons) < 2:
         return []
+    singles = _bits(col.singletons)
+    # (class, singleton, the class's other half) per missed half, by class
+    misses = [
+        (cls, u, other)
+        for cls in col.pairs
+        for half, other in (cls, cls[::-1])
+        for u in iter_bits(singles & ~g.adjacency_mask(half))
+    ]
     bad = []
-    for cls_a, cls_b in combinations(col.pairs, 2):
-        for u, v in combinations(col.singletons, 2):
-            for uu, vv in ((u, v), (v, u)):
-                for a1 in cls_a:
-                    if g.has_edge(uu, a1):
-                        continue
-                    for b1 in cls_b:
-                        if g.has_edge(vv, b1):
-                            continue
-                        a2 = cls_a[0] if a1 == cls_a[1] else cls_a[1]
-                        b2 = cls_b[0] if b1 == cls_b[1] else cls_b[1]
-                        four = (uu, vv, a2, b2)
-                        for x, y in combinations(four, 2):
-                            if not g.has_edge(x, y):
-                                bad.append(
-                                    f"quadruple {four} from classes {cls_a}, {cls_b} "
-                                    f"misses edge {x}-{y}"
-                                )
+    for (cls_a, u, a2), (cls_b, v, b2) in combinations(misses, 2):
+        if cls_a == cls_b or u == v:
+            continue
+        four = (u, v, a2, b2)
+        for x, y in combinations(four, 2):
+            if not g.has_edge(x, y):
+                bad.append(
+                    f"quadruple {four} from classes {cls_a}, {cls_b} misses edge {x}-{y}"
+                )
     return bad
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from kchi.decorated import RegionPartition
 from kchi.graphs import Multigraph
+from kchi.immersion import PairColouring
 
 
 def path(k: int) -> Multigraph:
@@ -80,3 +82,57 @@ def brute_max_matching_size(n: int, pairs: list[tuple[int, int]]) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+# Reference colouring audits: the plain nested-loop scans, one ``has_edge``
+# per question, that the mask-reading audits in ``kchi.immersion`` must agree
+# with.
+
+
+def reference_singleton_clique(g: Multigraph, col: PairColouring) -> list[str]:
+    return [
+        f"singletons {u} and {w} are non-adjacent"
+        for u, w in combinations(col.singletons, 2)
+        if not g.has_edge(u, w)
+    ]
+
+
+def reference_inner_adjacency(g: Multigraph, col: PairColouring) -> list[str]:
+    bad = []
+    for v in col.singletons:
+        inners = [
+            next(a for a in cls if not g.has_edge(v, a))
+            for cls in col.pairs
+            if sum(g.has_edge(v, a) for a in cls) == 1
+        ]
+        bad.extend(
+            f"inner halves {p} and {q} at singleton {v} are non-adjacent"
+            for p, q in combinations(inners, 2)
+            if not g.has_edge(p, q)
+        )
+    return bad
+
+
+def reference_double_nonedge(g: Multigraph, col: PairColouring) -> list[str]:
+    if len(col.singletons) < 2:
+        return []
+    bad = []
+    for cls_a, cls_b in combinations(col.pairs, 2):
+        for u, v in combinations(col.singletons, 2):
+            for uu, vv in ((u, v), (v, u)):
+                for a1 in cls_a:
+                    if g.has_edge(uu, a1):
+                        continue
+                    for b1 in cls_b:
+                        if g.has_edge(vv, b1):
+                            continue
+                        a2 = cls_a[0] if a1 == cls_a[1] else cls_a[1]
+                        b2 = cls_b[0] if b1 == cls_b[1] else cls_b[1]
+                        four = (uu, vv, a2, b2)
+                        for x, y in combinations(four, 2):
+                            if not g.has_edge(x, y):
+                                bad.append(
+                                    f"quadruple {four} from classes {cls_a}, {cls_b} "
+                                    f"misses edge {x}-{y}"
+                                )
+    return bad

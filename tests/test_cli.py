@@ -159,9 +159,10 @@ class TestVerify:
             ("classes", 5),
             ("classes", True),
             ("classes", 1.5),
+            ("classes", None),
         ],
         ids=["string-edge", "string-corner", "float-edge", "int-class", "null-class",
-             "int-classes", "bool-classes", "float-classes"],
+             "int-classes", "bool-classes", "float-classes", "null-classes"],
     )
     def test_malformed_leaves_are_bad_input(self, run, field, value):
         cert = self.cert_for(run, C5)
@@ -178,6 +179,15 @@ class TestVerify:
         cert["paths"][0]["pair"] = [0, 3, 4]
         code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", json.dumps(cert)))
         assert code == 1 and not doc["ok"]
+
+    @pytest.mark.parametrize("classes", [[], [[1]]], ids=["empty", "one-singleton"])
+    def test_classes_that_cover_no_corner_pair_exit_1(self, run, classes):
+        # a present ``classes`` field is checked even when it is empty
+        cert = self.cert_for(run, C5)
+        cert["classes"] = classes
+        code, doc, _ = run("verify", ("g.txt", C5), ("cert.json", json.dumps(cert)))
+        assert code == 1 and not doc["ok"]
+        assert any("not covered by the colouring" in f for f in doc["failures"])
 
     @pytest.mark.parametrize(
         "extra", [[0, 99], [0, 1], [0, 2]], ids=["outside", "repeated", "spans-edge"]

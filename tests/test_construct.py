@@ -1,6 +1,10 @@
-"""Tests for the bridge digraph and the recursive immersion constructor."""
+"""Tests for the bridge digraph and the level-chain immersion constructor."""
 
+import hashlib
+import inspect
 import random
+import sys
+import time
 
 import pytest
 
@@ -18,8 +22,15 @@ from kchi.construct import (
 )
 from kchi.decorated import DecoratedColouring, critical_colouring, validate_decorated
 from kchi.errors import CertificateError, PremiseError
+from kchi.generators import emit_certificate, gen_alpha2
 from kchi.graphs import Multigraph, alpha_at_most_2
-from kchi.immersion import _with_split, chi_alpha2, refine_split, verify_immersion
+from kchi.immersion import (
+    _with_split,
+    chi_alpha2,
+    refine_split,
+    run_colouring_audits,
+    verify_immersion,
+)
 from kchi.oracles import brute_chi
 
 from helpers import cocktail, complete, cycle, path
@@ -299,6 +310,19 @@ class TestOutDegreeShortfall:
         }
 
 
+def test_descent_checks_the_handed_down_class_count(monkeypatch):
+    # K_6 minus a perfect matching has χ = 3 and no singleton; dropping a
+    # vertex must keep 3 classes, and an all-singleton colouring has 5
+    g = cocktail(3)
+    monkeypatch.setattr(
+        kchi.construct, "_optimal_colouring",
+        lambda g, verts: _with_split(g, [(v,) for v in verts]),
+    )
+    with pytest.raises(CertificateError, match="unexpected class count") as err:
+        _immerse(g, chi_alpha2(g)[1], set(), {})
+    assert err.value.dump == {"verts": (1, 2, 3, 4, 5), "expected": 3, "got": 5}
+
+
 def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):
     """Three attached classes with inner halves 10+i and corners 13+i."""
     k = 3
@@ -485,3 +509,39 @@ class TestEngineeredHosts:
             dec = critical_colouring(h, len(corners), regions)
             rep = validate_decorated(h, regions, dec)
             assert rep.ok, rep.failures
+
+
+# sha256 over the certificates of six near-complete ``gen_alpha2`` hosts,
+# recorded while the constructor still recursed once per level
+NEAR_COMPLETE_CERTIFICATES = "2e7dd064aa18f07881ee13a42d6ceb54d52535645f0530cd47fcd0b9ebd60990"
+
+
+class TestNearCompleteHosts:
+    """Hosts whose complement is sparse: many singletons, and a level chain
+    about n/3 levels long."""
+
+    def test_long_level_chain_needs_no_stack(self):
+        g = gen_alpha2(400, 0.01, 101)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            imm = construct_immersion(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify_immersion(g, imm, chi_alpha2(g)[0]).ok
+
+    def test_audits_scan_only_the_singleton_non_edges(self):
+        g = gen_alpha2(300, 0.003, 101)
+        col = chi_alpha2(g)[1]
+        start = time.perf_counter()
+        assert run_colouring_audits(g, col) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_certificates_pinned(self):
+        h = hashlib.sha256()
+        for n, density, seed in [
+            (120, 0.005, 1), (120, 0.01, 2), (150, 0.02, 3),
+            (200, 0.01, 4), (200, 0.03, 5), (250, 0.008, 6),
+        ]:
+            h.update(emit_certificate(construct_immersion(gen_alpha2(n, density, seed))).encode())
+        assert h.hexdigest() == NEAR_COMPLETE_CERTIFICATES

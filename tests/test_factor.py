@@ -327,6 +327,37 @@ def test_structure_faults_fire_on_tampered_mates(tamper, message):
     assert exc.value.dump["stage"] == "structure"
 
 
+def test_fault_dump_replays_a_warm_started_solve(monkeypatch):
+    """A matcher that loses one pair whenever it is warm-started breaks the
+    second solve of a colouring induction; the dump alone rebuilds a solver
+    that fails the same way, while a cold solve of the same counts does not."""
+    real = kchi.factor.bipartite_maximum_matching
+
+    def lossy(masks, n_right, mate_left=None, mate_right=None):
+        mate_l, mate_r = real(masks, n_right, mate_left, mate_right)
+        if mate_left is not None and max(mate_left, default=-1) != -1:
+            u = next(u for u, w in enumerate(mate_l) if w != -1)
+            mate_r[mate_l[u]] = mate_l[u] = -1
+        return mate_l, mate_r
+
+    monkeypatch.setattr(kchi.factor, "bipartite_maximum_matching", lossy)
+    with pytest.raises(CertificateError) as first:
+        cycle_matching_colouring(gen_multigraph(12, 0.6, 7))
+    dump = first.value.dump
+    assert dump["stage"] == "extract" and max(dump["mate_l"]) != -1
+
+    def rebuilt(warm: bool) -> _FactorSolver:
+        solver = _FactorSolver(dump["n"], dict(dump["pair_counts"]))
+        if warm:
+            solver.mate_l, solver.mate_r = list(dump["mate_l"]), list(dump["mate_r"])
+        return solver
+
+    with pytest.raises(CertificateError) as again:
+        rebuilt(True).solve()
+    assert str(again.value) == str(first.value) and again.value.dump == dump
+    rebuilt(False).solve()
+
+
 # Digest of the solver outputs below, recorded before the factor solver's S
 # and T became bitmasks; the solver must keep every choice.
 MAX_F_BOUNDED_SUBGRAPHS = "857556d1d336534cf4232b36389eaa76fbcc04f2eadfd2d6688a43551cd66b93"

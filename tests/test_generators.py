@@ -231,6 +231,14 @@ class TestCertificateWriter:
         self._same_and_round_trips(g, imm)
         assert '"paths": []' in emit_certificate(imm)
 
+    def test_zero_classes_keep_their_field(self):
+        g = complete(1)
+        imm = Immersion((), {}, faithful_to=_with_split(g, []))
+        text = emit_certificate(imm)
+        assert '"classes": []' in text
+        back = self._same_and_round_trips(g, imm)
+        assert back.faithful_to is not None and emit_certificate(back) == text
+
     def test_faithful_certificate_with_classes(self):
         g = gen_family("faithful", (4, 2))
         chi, col = chi_alpha2(g)

@@ -29,7 +29,17 @@ from kchi.immersion import (
 )
 from kchi.oracles import brute_chi
 
-from helpers import brute_max_matching_size, cocktail, complete, cycle, path, star
+from helpers import (
+    brute_max_matching_size,
+    cocktail,
+    complete,
+    cycle,
+    path,
+    reference_double_nonedge,
+    reference_inner_adjacency,
+    reference_singleton_clique,
+    star,
+)
 
 
 def random_alpha2(n, density, rng):
@@ -235,7 +245,7 @@ class TestFaithfulImmersion:
     def test_missing_edge_is_named(self, n, edges, classes, dump):
         g = Multigraph(n, edges)
         with pytest.raises(CertificateError, match="required edge missing from the host graph") as err:
-            _faithful_immersion(g, _with_split(g, classes))
+            _faithful_immersion(g, _with_split(g, classes), set(), {})
         assert err.value.dump == dump
 
     def test_random_instances_verify(self):
@@ -480,3 +490,34 @@ class TestAudits:
             g = random_alpha2(rng.randint(2, 14), rng.uniform(0.2, 0.8), rng)
             _, col = chi_alpha2(g)
             assert run_colouring_audits(g, col) == [], list(g.edges)
+
+    def test_mask_audits_match_the_nested_loop_references(self):
+        # random colourings of random hosts, dense and sparse, some with an
+        # independent triple, most not optimal; the K₄ audit may list its
+        # failures in another order, the other two may not
+        rng = random.Random(6061)
+        triples = 0
+        failing = {"clique": 0, "inner": 0, "double": 0}
+        for _ in range(2400):
+            n = rng.randint(2, 16)
+            p = rng.choice((0.3, 0.6, 0.8, 0.9, 0.97))
+            g = Multigraph(
+                n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+            )
+            triples += not alpha_at_most_2(g)
+            order = rng.sample(range(n), n)
+            classes = []
+            while order:
+                classes.append(tuple(order.pop() for _ in range(min(len(order), rng.randint(1, 2)))))
+            col = _with_split(g, classes)
+            clique = audit_singleton_clique(g, col)
+            inner = audit_inner_adjacency(g, col)
+            double = audit_double_nonedge(g, col)
+            assert clique == reference_singleton_clique(g, col)
+            assert inner == reference_inner_adjacency(g, col)
+            assert sorted(double) == sorted(reference_double_nonedge(g, col))
+            failing["clique"] += bool(clique)
+            failing["inner"] += bool(inner)
+            failing["double"] += bool(double)
+        assert triples > 900
+        assert min(failing.values()) > 100, failing
