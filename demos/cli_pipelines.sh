@@ -6,8 +6,15 @@
 # internal fault.  That makes the subcommands composable:
 # gen | immerse | verify round-trips.
 #
-# Run:  sh demos/cli_pipelines.sh   (needs `pip install -e .` first)
+# Run:  sh demos/cli_pipelines.sh
+# It calls the installed `kchi` when there is one (`pip install -e .`), and
+# otherwise `python3 -m kchi` on this checkout's src/.
 set -eu
+
+if ! command -v kchi > /dev/null 2>&1; then
+    src=$(cd "$(dirname "$0")/../src" && pwd)
+    kchi() { PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" python3 -m kchi "$@"; }
+fi
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT

@@ -204,7 +204,14 @@ class _FactorSolver:
             self.mate_l[v] = -1
             self.mate_r[u] = -1
 
-    def _fail(self, stage: str, message: str) -> CertificateError:
+    def _fail(self, stage: str, message: str, **extra) -> CertificateError:
+        """A fault whose dump replays the failing solve.
+
+        A solver built from ``pair_counts`` and warm-started from ``mate_l``
+        and ``mate_r`` repeats it.  A ``"rebuild"`` fault also lists
+        ``t_order``, the order T was covered in, so a caller's priority is
+        replayed by ``solve(t_priority=dump["t_order"].index)``.
+        """
         return CertificateError(
             f"{stage}: {message}",
             dump={
@@ -213,6 +220,7 @@ class _FactorSolver:
                 "pair_counts": sorted(self.count.items()),
                 "mate_l": list(self._warm[0]),
                 "mate_r": list(self._warm[1]),
+                **extra,
             },
         )
 
@@ -324,10 +332,14 @@ class _FactorSolver:
             # a T-to-S matching has size at most |S| and an S-saturating one
             # exists, so the greedy maximum saturates S automatically
             if covered.bit_count() != s.bit_count():
-                raise self._fail("rebuild", "S not saturated while rebuilding H[S∪T]")
+                raise self._fail(
+                    "rebuild", "S not saturated while rebuilding H[S∪T]", t_order=order
+                )
             for v in iter_bits(t & ~covered):
                 if deg[v] == delta:
-                    raise self._fail("rebuild", f"maximum-degree vertex {v} of T left uncovered")
+                    raise self._fail(
+                        "rebuild", f"maximum-degree vertex {v} of T left uncovered", t_order=order
+                    )
 
         return _SupportFactor(
             s=frozenset(iter_bits(s)),

@@ -2,6 +2,10 @@
 
 Generation is pure given its parameters: the same ``(n, density, seed)``
 always yields the same graph, bit-exact through :func:`emit_edge_list`.
+Generators that already hold a simple graph's adjacency bitmasks
+(``gen_alpha2`` and the complete and cocktail families) build it straight
+from those rows with ``Multigraph._from_rows``; the others, and parsed
+input, go through the edge-list constructor.
 
 Text formats
 ------------
@@ -36,7 +40,7 @@ from operator import add, itemgetter, lt
 
 from .errors import CertificateError, GraphError
 from .gcpause import gc_paused
-from .graphs import Multigraph, alpha_at_most_2, iter_bits
+from .graphs import Multigraph, alpha_at_most_2
 from .immersion import (
     Immersion,
     _with_split,
@@ -66,8 +70,9 @@ def gen_alpha2(n: int, density: float, seed: int) -> Multigraph:
 
     Grows a triangle-free graph by greedy insertion — every vertex pair is
     attempted with probability ``density``, in seeded random order, and kept
-    unless it closes a triangle — then returns its complement.  ``density``
-    0 gives the complete graph.
+    unless it closes a triangle — then returns its complement, built
+    straight from the complement's adjacency rows.  ``density`` 0 gives the
+    complete graph.  Edges are listed as sorted pairs (u, v), u < v.
 
     Pairs u < v are shuffled as the int codes ``u * n + v``; the swaps of
     ``random.shuffle`` depend only on the length, so this is the order a
@@ -87,14 +92,7 @@ def gen_alpha2(n: int, density: float, seed: int) -> Multigraph:
         mask[u] |= 1 << v
         mask[v] |= 1 << u
     full = (1 << n) - 1
-    g = Multigraph(
-        n,
-        [
-            (u, v)
-            for u in range(n)
-            for v in iter_bits(full & ~mask[u] & ~((2 << u) - 1))
-        ],
-    )
+    g = Multigraph._from_rows([full & ~mask[u] & ~(1 << u) for u in range(n)])
     assert alpha_at_most_2(g)
     return g
 
@@ -112,7 +110,14 @@ def gen_multigraph(n: int, density: float, seed: int, max_mult: int = 3) -> Mult
 
 
 def _complete(n):
-    return Multigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    full = (1 << n) - 1
+    return Multigraph._from_rows([full & ~(1 << u) for u in range(n)])
+
+
+def _cocktail(k):
+    """K_2k minus a perfect matching: u is adjacent to all but itself and u ^ 1."""
+    full = (1 << 2 * k) - 1
+    return Multigraph._from_rows([full & ~(3 << (u & ~1)) for u in range(2 * k)])
 
 
 def _faithful_instance(k: int, seed: int) -> Multigraph:
@@ -154,10 +159,7 @@ _SIMPLE_FAMILIES = {
     "cycle": lambda n: Multigraph(n, [(i, (i + 1) % n) for i in range(n)]),
     "complete": _complete,
     "star": lambda s: Multigraph(s + 1, [(0, i) for i in range(1, s + 1)]),
-    "cocktail": lambda k: Multigraph(
-        2 * k,
-        [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if u // 2 != v // 2],
-    ),
+    "cocktail": _cocktail,
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, NoReturn
 
@@ -63,6 +64,14 @@ class Multigraph:
     order and are the currency of every certificate in this package:
     parallel edges are distinguishable only by identity.
 
+    Two constructors.  ``Multigraph(n, pairs)`` takes an edge list in any
+    order, parallel edges included, and validates it: it serves parsed
+    input and multigraphs.  ``Multigraph._from_rows(rows)`` builds a simple
+    graph from adjacency rows its caller already holds, as the generators
+    do; it trusts the rows to be symmetric, loopless and below bit
+    ``len(rows)``, and gives the graph the edge-list constructor would give
+    for its edges listed as sorted pairs.
+
     Adjacency is held as one bitmask per vertex (bit ``w`` of ``_mask[v]``
     is set iff v and w are adjacent).  Each distinct vertex pair maps to
     the identity of its first edge in ``_first``, in first-occurrence
@@ -112,6 +121,40 @@ class Multigraph:
         self._first = first
         self._copies = copies
         self._inc: tuple[tuple[int, ...], ...] | None = None
+
+    @classmethod
+    def _from_rows(cls, rows: list[int]) -> "Multigraph":
+        """The simple graph whose adjacency bitmasks are ``rows``, unchecked.
+
+        The caller guarantees the rows are symmetric (bit v of ``rows[u]``
+        iff bit u of ``rows[v]``), loopless and below bit ``len(rows)``.
+        The result equals ``Multigraph(len(rows), pairs)`` field by field,
+        ``pairs`` being the edges (u, v), u < v, sorted.  Each row's bits
+        above u are expanded in C: its reversed binary digits, as 0/1
+        bytes, select from one shared vertex list, so every endpoint is one
+        of ``len(rows)`` int objects.
+        """
+        n = len(rows)
+        verts = list(range(n))
+        to_bytes = bytes.maketrans(b"01", b"\0\1")
+        # bin(r)[:1:-1] spells r's bits from bit 0 up, as "0"/"1"
+        above = (
+            bin(row >> u + 1)[:1:-1].encode().translate(to_bytes) for u, row in enumerate(rows)
+        )
+        edges = tuple(
+            chain.from_iterable(
+                zip(repeat(u), compress(verts[u + 1 :], bits)) for u, bits in zip(verts, above)
+            )
+        )
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        g._first = dict(zip(edges, range(len(edges))))
+        g._copies = {}
+        g._mask = tuple(rows)
+        g._deg = tuple(map(int.bit_count, rows))
+        g._inc = None
+        return g
 
     # -- basic queries ----------------------------------------------------
 

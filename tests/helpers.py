@@ -41,6 +41,27 @@ def random_simple(n: int, p: float, rng: random.Random) -> Multigraph:
     return Multigraph(n, pairs)
 
 
+def graph_fields(g: Multigraph) -> tuple:
+    """Every table of ``g``, incidence lists included, for field-by-field equality."""
+    assert g._inc is None  # built on first use, by either constructor
+    return (
+        g.n,
+        g.edges,
+        list(g._first.items()),
+        g._copies,
+        g._mask,
+        g._deg,
+        list(g.support_pairs()),
+        [g.incident(v) for v in range(g.n)],
+    )
+
+
+def rows_edges(rows: list[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, of symmetric adjacency rows, sorted."""
+    n = len(rows)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
+
+
 def random_multigraph(n: int, max_mult: int, p: float, rng: random.Random) -> Multigraph:
     pairs = []
     for u in range(n):

@@ -493,6 +493,15 @@ class TestEngineeredHosts:
         assert routes[(0, 9)] == (9, 0, 6, 1)
         assert routes[(2, 7)] == (7, 4, 0, 5)
 
+    @pytest.mark.parametrize(
+        "density, seed", [(0.37584929805804157, 601180945), (0.4729279253079284, 152907695)]
+    )
+    def test_generated_hosts_take_the_length_4_detour(self, density, seed):
+        g = gen_alpha2(11, density, seed)
+        chi, imm = checked(g)
+        assert chi == brute_chi(g)
+        assert 4 in {len(ids) for ids in imm.paths.values()}
+
     def test_hosts_are_well_formed(self):
         for g in [TRIANGLE_HOST, YMID_HOST, ALPHA_HOST, SHORTCUT_HOST, DETOUR_HOST]:
             assert alpha_at_most_2(g)

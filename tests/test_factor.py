@@ -13,7 +13,7 @@ import pytest
 import kchi
 
 from kchi.colouring import cycle_matching_colouring
-from kchi.decorated import critical_colouring
+from kchi.decorated import RegionPartition, critical_colouring
 from kchi.errors import CertificateError, PremiseError, SizeGuardError
 from kchi.factor import (
     DeficiencyPair,
@@ -356,6 +356,43 @@ def test_fault_dump_replays_a_warm_started_solve(monkeypatch):
         rebuilt(True).solve()
     assert str(again.value) == str(first.value) and again.value.dump == dump
     rebuilt(False).solve()
+
+
+def test_rebuild_fault_dump_lists_the_t_order_used(monkeypatch):
+    """A matcher that drops one pair of the rebuild's T-to-S matching breaks
+    a step of ``critical_colouring``, whose covering priority reorders T.
+    The dump lists that order: a solver rebuilt from the dump alone, with
+    the order as its priority, fails the same way on the same masks."""
+    real = kchi.factor.bipartite_maximum_matching
+    rebuilds = []
+
+    def lossy(masks, n_right, mate_left=None, mate_right=None):
+        mate_l, mate_r = real(masks, n_right, mate_left, mate_right)
+        if mate_left is None:  # only the rebuild's [nbr[v] & s for v in order] starts cold
+            rebuilds.append(list(masks))
+            u = next((u for u, w in enumerate(mate_l) if w != -1), None)
+            if u is not None:
+                mate_r[mate_l[u]] = mate_l[u] = -1
+        return mate_l, mate_r
+
+    monkeypatch.setattr(kchi.factor, "bipartite_maximum_matching", lossy)
+    g = gen_multigraph(12, 0.5, 0)
+    delta = g.max_degree()
+    with pytest.raises(CertificateError, match="^rebuild: ") as first:
+        critical_colouring(g, delta, RegionPartition.all_free(delta, g.n))
+    dump, failing = first.value.dump, rebuilds[-1]
+    order = dump["t_order"]
+
+    solver = _FactorSolver(dump["n"], dict(dump["pair_counts"]))
+    solver.mate_l, solver.mate_r = list(dump["mate_l"]), list(dump["mate_r"])
+    top = max(solver.deg)
+    # not the order the solver picks with no priority of the caller's
+    assert order != sorted(order, key=lambda v: (solver.deg[v] != top, v))
+    rebuilds.clear()
+    with pytest.raises(CertificateError) as again:
+        solver.solve(t_priority=order.index)
+    assert str(again.value) == str(first.value) and again.value.dump == dump
+    assert rebuilds == [failing]
 
 
 # Digest of the solver outputs below, recorded before the factor solver's S

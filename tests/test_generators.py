@@ -6,6 +6,7 @@ import pytest
 
 from kchi.errors import GraphError
 from kchi.generators import (
+    _SIMPLE_FAMILIES,
     _certificate_doc,
     emit_certificate,
     emit_dot,
@@ -26,7 +27,7 @@ from kchi.immersion import (
     verify_immersion,
 )
 
-from helpers import cocktail, complete, cycle, star
+from helpers import cocktail, complete, cycle, graph_fields, star
 
 
 def test_alpha2_is_always_alpha2():
@@ -72,6 +73,11 @@ class TestFamilies:
         assert gen_family("cycle", 5).edges == cycle(5).edges
         assert gen_family("complete", 6).edges == complete(6).edges
         assert gen_family("cocktail", 3).edges == cocktail(3).edges
+
+    @pytest.mark.parametrize("name, reference", [("complete", complete), ("cocktail", cocktail)])
+    def test_row_built_families_match_the_edge_list_constructor(self, name, reference):
+        for n in range(13):
+            assert graph_fields(_SIMPLE_FAMILIES[name](n)) == graph_fields(reference(n))
 
     def test_cocktail_is_k6_minus_matching(self):
         g = gen_family("cocktail", 3)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from kchi.errors import GraphError
+from kchi.generators import gen_alpha2
 from kchi.graphs import Multigraph, alpha_at_most_2, components_of
-from helpers import cocktail, complete, cycle, path, random_simple
+from helpers import cocktail, complete, cycle, graph_fields, path, random_simple, rows_edges
 
 
 def test_build_triangle():
@@ -103,6 +104,48 @@ def test_pair_tables_match_a_direct_count():
                 assert g.edge_ids_between(u, v) == tuple(ids.get(key, ()))
                 assert g.multiplicity(u, v) == len(ids.get(key, ()))
                 assert g.has_edge(u, v) == (key in ids)
+
+
+def test_from_rows_matches_the_edge_list_constructor():
+    """600 random symmetric loopless row sets, n in 0..70, at densities 0,
+    1 and in between, each with one vertex then isolated or made universal,
+    agree table by table with the edge-list constructor."""
+    rng = random.Random(16)
+    for i in range(600):
+        n = i % 71
+        p = (0.0, 1.0, rng.random())[i % 3]
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        if n:
+            x = rng.randrange(n)
+            if i % 2:  # isolate x
+                rows = [row & ~(1 << x) for row in rows]
+                rows[x] = 0
+            else:  # make x universal
+                rows = [row | 1 << x for row in rows]
+                rows[x] = (1 << n) - 1 & ~(1 << x)
+        assert graph_fields(Multigraph._from_rows(rows)) == graph_fields(
+            Multigraph(n, rows_edges(rows))
+        )
+
+
+@pytest.mark.parametrize("n, density", [(300, 0.2), (401, 0.4), (601, 0.8)])
+def test_generated_graphs_match_the_edge_list_constructor(n, density):
+    g = gen_alpha2(n, density, 1)
+    assert graph_fields(g) == graph_fields(Multigraph(n, rows_edges(g._mask)))
+
+
+def test_from_rows_shares_one_int_per_vertex():
+    # ints below 256 are cached by the interpreter anyway
+    g = gen_alpha2(300, 0.5, 1)
+    first: dict[int, int] = {}
+    for x in (x for uv in g.edges for x in uv if x >= 256):
+        assert first.setdefault(x, x) is x
+    assert len(first) == 300 - 256
 
 
 def test_build_normalizes_endpoint_order():
