@@ -48,6 +48,16 @@ kchi verify "$workdir/g300.json" "$workdir/cert300.json" > /dev/null
 echo "verified"
 
 echo
+echo '# a near-complete host: its complement is sparse, so most classes are'
+echo '# singletons and the constructor walks a long chain of levels, each'
+echo '# handing down the restriction of its own colouring'
+kchi gen --n 400 --density 0.005 --seed 101 | tee "$workdir/g400.json" \
+    | kchi immerse - > "$workdir/cert400.json"
+python3 -c "import json,sys; print('chi', json.load(open(sys.argv[1]))['chi'])" "$workdir/cert400.json"
+kchi verify "$workdir/g400.json" "$workdir/cert400.json" > /dev/null
+echo "verified"
+
+echo
 echo '# a host with an independent triple: the 6-cycle immerses K3 on 0, 2, 4;'
 echo '# with no chi to check against, t comes from the certificate itself'
 printf '6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n' > "$workdir/c6.txt"

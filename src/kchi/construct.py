@@ -26,13 +26,18 @@ each conflicting pair to drop, reroute or share, after which every remaining
 corner pair takes its lowest free arc.  All of this is per construction step,
 and costs time in proportion to the arcs kept, not to the detours offered.
 
-Each level proves its colouring optimal exactly once, with one blossom
-matching: the top level reuses the colouring of ``chi_alpha2`` and every
-level below computes ``_optimal_colouring`` of the vertex set handed down,
-whose class count must be the one the level above expects.  The refinement
-and the faithful side work on that colouring without proving it again.  The
-final immersion is replayed once, through ``verify_immersion`` against χ,
-before being returned, so callers need not replay it themselves.
+One blossom matching serves the whole construction: the top level reuses
+the colouring of ``chi_alpha2``, and every level below gets the restriction
+of the level above's own colouring to the set ``down`` handed down.  With no
+independent triple every colour class has at most two vertices, so no
+colouring of ``down`` has fewer than ⌈|down|/2⌉ classes; the descent checks
+that the restriction has exactly that many, which proves it optimal.  A
+hand-down holds at most one singleton and a refine swap keeps the singleton
+count, so every level below the top has at most one singleton.  The
+refinement and the faithful side work on these colourings without proving
+them again.  The final immersion is replayed once, through
+``verify_immersion`` against χ, before being returned, so callers need not
+replay it themselves.
 
 Each path is stored once.  Every level writes into one paths dict and one
 set of spent edge identities, the faithful side included, and only the
@@ -66,7 +71,6 @@ from .immersion import (
     _faithful_immersion,
     _grouped_by_owner,
     _join_directly,
-    _optimal_colouring,
     _refine_split,
     _two_paths,
     _with_split,
@@ -486,8 +490,7 @@ def _immerse(
     levels = []  # the refined colourings of levels with singletons, top first
     while True:
         verts = col.vertices
-        chi = len(col.classes)
-        if chi == len(verts):  # complete graph: the identity immersion
+        if len(col.classes) == len(verts):  # complete, or at most one vertex: identity
             _join_directly(g, combinations(verts, 2), used, paths)
             corners = verts
             break
@@ -500,12 +503,10 @@ def _immerse(
             )
 
         if not col.singletons:
-            # all classes are pairs; deleting one vertex keeps the count
-            down, expect = verts[1:], chi
+            # all pairs: drop verts[0] (in the first class), keep its partner
+            handed = col.classes[1:] + (col.classes[0][1:],)
         else:
-            # a refine swap keeps the class count, so the refined colouring
-            # needs no second proof; nor does its restriction to a union of
-            # its classes (the faithful side), which is still optimal
+            # a refine swap keeps the class count: no second proof is needed
             col = _refine_split(g, col)
             bad = audit_refined(g, col)
             if bad:
@@ -515,31 +516,25 @@ def _immerse(
                 )
             if not col.attached:
                 # every singleton is universal in G[verts] and extends directly
+                verts_mask = _bits(verts)
                 for u in col.singletons:
-                    if any(w != u and not g.has_edge(u, w) for w in verts):
+                    if verts_mask & ~g.adjacency_mask(u) & ~(1 << u):
                         raise CertificateError(
                             "detached singleton misses a vertex", dump={"singleton": u}
                         )
-                single_set = set(col.singletons)
-                down = tuple(w for w in verts if w not in single_set)
-                expect = chi - len(col.singletons)
+                handed = col.pairs
             else:
-                down = tuple(sorted(v for cls in col.detached for v in cls))
-                expect = len(col.detached)
+                handed = col.detached
             levels.append(col)
 
-        # each level ends with one corner per class of its colouring, so the
-        # level below must have the class count this level expects of it
-        col = _optimal_colouring(g, down) if len(down) > 1 else None
-        got = len(col.classes) if col else len(down)
-        if got != expect:
+        # with α ≤ 2, ⌈|down|/2⌉ classes prove the restriction to ``down`` optimal
+        down = tuple(sorted(v for cls in handed for v in cls))
+        if len(handed) != (len(down) + 1) // 2:
             raise CertificateError(
                 "handed-down vertex set has an unexpected class count",
-                dump={"verts": down, "expected": expect, "got": got},
+                dump={"verts": down, "expected": (len(down) + 1) // 2, "got": len(handed)},
             )
-        if col is None:
-            corners = down
-            break
+        col = _with_split(g, handed)
 
     for col in reversed(levels):
         singles = col.singletons

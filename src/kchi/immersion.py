@@ -16,9 +16,10 @@ built.  ``chi_alpha2`` and ``_optimal_colouring`` build colourings that are
 optimal by construction.  The public ``refine_split`` and ``faithful_immersion``
 prove their input optimal (``_require_optimal``) and raise ``PremiseError``
 otherwise; the constructor calls their private cores ``_refine_split`` and
-``_faithful_immersion`` directly, on colourings derived from one it has just
-built, so nothing is proved twice.  ``_faithful_immersion`` writes into the
-caller's paths dict and spent-edge set and returns only the corners.
+``_faithful_immersion`` directly, on refinements and restrictions of the
+colouring of ``chi_alpha2``, so one matching serves a whole construction.
+``_faithful_immersion`` writes into the caller's paths dict and spent-edge
+set and returns only the corners.
 
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and

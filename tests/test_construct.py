@@ -25,6 +25,8 @@ from kchi.errors import CertificateError, PremiseError
 from kchi.generators import emit_certificate, gen_alpha2
 from kchi.graphs import Multigraph, alpha_at_most_2
 from kchi.immersion import (
+    Immersion,
+    PairColouring,
     _with_split,
     chi_alpha2,
     refine_split,
@@ -110,9 +112,9 @@ class TestStress:
             g = random_alpha2(rng.randint(1, 40), rng.random(), rng)
             checked(g)
 
-    def test_one_blossom_matching_per_recursion_level(self, monkeypatch):
-        # chi_alpha2's matching serves the top level; every deeper level
-        # computes _optimal_colouring once, and nothing re-proves optimality.
+    def test_one_blossom_matching_per_construction(self, monkeypatch):
+        # chi_alpha2's matching serves the top level; every deeper level is
+        # a restriction of the level above's colouring and needs no matching
         counts = {"blossom": 0, "levels": 0}
 
         def counted(key, fn):
@@ -123,17 +125,18 @@ class TestStress:
 
         monkeypatch.setattr(kchi.immersion, "maximum_matching",
                             counted("blossom", kchi.immersion.maximum_matching))
-        monkeypatch.setattr(kchi.construct, "_optimal_colouring",
-                            counted("levels", kchi.construct._optimal_colouring))
+        monkeypatch.setattr(kchi.construct, "run_colouring_audits",
+                            counted("levels", kchi.construct.run_colouring_audits))
         rng = random.Random(7117)
+        hosts = [random_alpha2(rng.randint(1, 30), rng.random(), rng) for _ in range(60)]
         deep = 0
-        for _ in range(60):
-            g = random_alpha2(rng.randint(1, 30), rng.random(), rng)
+        for g in hosts + [gen_alpha2(300, 0.003, 101)]:
             counts.update(blossom=0, levels=0)
             construct_immersion(g)
-            assert counts["blossom"] == 1 + counts["levels"], list(g.edges)
-            deep += counts["levels"] > 0
+            assert counts["blossom"] == 1, list(g.edges)
+            deep += counts["levels"] > 1
         assert deep >= 20
+        assert counts["levels"] >= 50  # the near-complete host's level chain
 
     def test_corner_floor(self):
         # χ ≥ n/2 whenever no three vertices are pairwise non-adjacent
@@ -310,17 +313,31 @@ class TestOutDegreeShortfall:
         }
 
 
-def test_descent_checks_the_handed_down_class_count(monkeypatch):
-    # K_6 minus a perfect matching has χ = 3 and no singleton; dropping a
-    # vertex must keep 3 classes, and an all-singleton colouring has 5
+def test_descent_checks_the_handed_down_class_count():
+    # K_6 minus a perfect matching, coloured with the class {2, 3} split but
+    # no singleton listed: the no-singleton branch hands down four classes on
+    # five vertices, one more than an optimal colouring of them has
     g = cocktail(3)
-    monkeypatch.setattr(
-        kchi.construct, "_optimal_colouring",
-        lambda g, verts: _with_split(g, [(v,) for v in verts]),
-    )
+    classes = ((0, 1), (2,), (3,), (4, 5))
+    col = PairColouring(classes, (), (), ((0, 1), (4, 5)), {})
     with pytest.raises(CertificateError, match="unexpected class count") as err:
-        _immerse(g, chi_alpha2(g)[1], set(), {})
-    assert err.value.dump == {"verts": (1, 2, 3, 4, 5), "expected": 3, "got": 5}
+        _immerse(g, col, set(), {})
+    assert err.value.dump == {"verts": (1, 2, 3, 4, 5), "expected": 3, "got": 4}
+
+
+def test_detached_singleton_must_be_universal():
+    # singleton 4 sees both halves of (0, 1) and neither of (2, 3), so no
+    # class is attached; it extends the level directly only if universal
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)]
+    classes = [(0, 1), (2, 3), (4,)]
+    g = Multigraph(5, edges)
+    with pytest.raises(CertificateError, match="detached singleton misses a vertex") as err:
+        _immerse(g, _with_split(g, classes), set(), {})
+    assert err.value.dump == {"singleton": 4}
+    g = Multigraph(5, edges + [(2, 4), (3, 4)])
+    paths = {}
+    corners = _immerse(g, _with_split(g, classes), set(), paths)
+    assert verify_immersion(g, Immersion(corners, paths), 3).ok
 
 
 def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):
@@ -521,8 +538,8 @@ class TestEngineeredHosts:
 
 
 # sha256 over the certificates of six near-complete ``gen_alpha2`` hosts,
-# recorded while the constructor still recursed once per level
-NEAR_COMPLETE_CERTIFICATES = "2e7dd064aa18f07881ee13a42d6ceb54d52535645f0530cd47fcd0b9ebd60990"
+# recorded once each level handed down the restriction of its own colouring
+NEAR_COMPLETE_CERTIFICATES = "3a53cba5dfec26c6ffc3a0edf2cbf94b2893bb4aa08de8e7630b937976ced0bf"
 
 
 class TestNearCompleteHosts:

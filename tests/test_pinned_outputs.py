@@ -18,10 +18,10 @@ from kchi.colouring import cycle_matching_colouring
 from kchi.construct import construct_immersion
 from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph
 
-SMALL_CERTIFICATES = "6e9ca2127d5215284930238071adce5d36bcdede8a242997bea19b2505b83353"
-LARGE_CERTIFICATE = "1d47732bc3c5df00774bc8735282bf96dfb186dfd1bc00645e3d5f5bd3d5f94f"
+SMALL_CERTIFICATES = "74e016282502750715a6eb06216039e35d250acb7e2b471d4e2d07bdfa40b879"
+LARGE_CERTIFICATE = "c104bcf26bff91d45c79096bf36d7dacc01f63c2dda9ddaf16771330e7fc59fb"
 COLOURINGS = "36ecab7ce78595377ee28d7dbf6cb067fbd8bf7766ff2d83843efd3ef6605e8a"
-BRIDGE_STAGES = "e42b38901f54378d45bd241ea3335fad80b416f8a812d4a4ae9cabd42ecf09ae"
+BRIDGE_STAGES = "c8edca78da0a53b553c2587cd49c1ae5fd67ff011fcb0e5fa00e8c91d855f064"
 
 
 def small_certificates_digest() -> str:
