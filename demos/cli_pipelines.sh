@@ -141,6 +141,27 @@ echo '# edge colouring within the maximum degree, with class breakdown'
 kchi gen doubled cycle 5 | kchi colour --r 2 -
 
 echo
+echo '# an edge list out of pair order, with parallel copies interleaved:'
+echo '# edge ids stay the input line order, so each class read back through'
+echo '# the input lines touches every vertex at most twice'
+printf '3 7\n2 0\n1 2\n0 2\n0 2\n2 1\n1 2\n1 0\n' > "$workdir/unsorted.txt"
+kchi colour - < "$workdir/unsorted.txt" > "$workdir/unsorted-colour.json"
+python3 - "$workdir/unsorted.txt" "$workdir/unsorted-colour.json" <<'EOF'
+import json, sys
+from collections import Counter
+pairs = [tuple(map(int, line.split())) for line in open(sys.argv[1]).read().splitlines()[1:]]
+doc = json.load(open(sys.argv[2]))
+ids = sorted(e for cls in doc["classes"] for e in cls)
+if ids != list(range(len(pairs))) or not doc["verdict"]["ok"]:
+    sys.exit(f"BUG: classes {doc['classes']} do not colour every edge once")
+for cls in doc["classes"]:
+    touched = Counter(x for e in cls for x in pairs[e])
+    if max(touched.values()) > 2:
+        sys.exit(f"BUG: class {cls} is no union of edges and cycles of the input")
+print(doc["palette"], "colours for max degree", doc["max_degree"], "- read back through the input")
+EOF
+
+echo
 echo '# exhaustive oracles for small instances'
 kchi gen cycle 7 | kchi oracle chi -
 kchi gen complete 5 | kchi oracle chi-prime-r - --r 2

@@ -353,7 +353,8 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
         for x in verts:
             marks_of.setdefault(x, []).append(c)
 
-    for e, (u, v) in enumerate(g.edges):
+    us, vs = g.endpoint_columns
+    for e, (u, v) in enumerate(zip(us, vs)):
         for i in marks_of.get(u, ()):
             for j in marks_of.get(v, ()):
                 if step_of[e] >= max(i, j):
@@ -368,17 +369,15 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
         consumed = [e for e in range(g.m) if step_of[e] == c]
         touched = set()
         for e in consumed:
-            u, v = g.endpoints(e)
-            touched.add(u)
-            touched.add(v)
+            touched.add(us[e])
+            touched.add(vs[e])
         for x in range(g.n):
             if deg[x] == palette - c and x not in touched:
                 bad.append(f"step {c}: vertex {x} has full degree but is unspanned")
         marked |= dec.uncovered_at.get(c, frozenset())
         for e in consumed:
-            u, v = g.endpoints(e)
-            deg[u] -= 1
-            deg[v] -= 1
+            deg[us[e]] -= 1
+            deg[vs[e]] -= 1
         for x in range(g.n):
             if x in marked:
                 continue

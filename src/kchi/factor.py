@@ -33,6 +33,7 @@ each of their cycles is kept if odd and split into 2-cycles if even.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -352,9 +353,7 @@ class _FactorSolver:
 
 def _solver_for(g: Multigraph) -> _FactorSolver:
     """A solver on the doubled copy of ``g``, for the Δ-step inductions."""
-    return _FactorSolver(
-        g.n, {(u, v): g.multiplicity(u, v) for u, v in g.support_pairs()}
-    )
+    return _FactorSolver(g.n, Counter(g.edges))
 
 
 def _edge_handout(g: Multigraph, solver: _FactorSolver) -> Callable[[int, int], int]:
@@ -377,8 +376,7 @@ def _edge_handout(g: Multigraph, solver: _FactorSolver) -> Callable[[int, int], 
 
 def _halved_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     counts = {}
-    for u, v in g.support_pairs():
-        mult = g.multiplicity(u, v)
+    for (u, v), mult in Counter(g.edges).items():
         if mult % 2:
             raise PremiseError(f"edge {u}-{v} has odd multiplicity {mult}")
         counts[(u, v)] = mult // 2

@@ -4,8 +4,9 @@ Generation is pure given its parameters: the same ``(n, density, seed)``
 always yields the same graph, bit-exact through :func:`emit_edge_list`.
 Generators that already hold a simple graph's adjacency bitmasks
 (``gen_alpha2`` and the complete and cocktail families) build it straight
-from those rows with ``Multigraph._from_rows``; the others, and parsed
-input, go through the edge-list constructor.
+from those rows with ``Multigraph._from_rows``, which expands them into the
+graph's endpoint columns; the others, and parsed input, go through the
+edge-list constructor.
 
 Text formats
 ------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter
+from itertools import accumulate, compress, islice, repeat
+from operator import add, eq, le, mul
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import GraphError
@@ -57,6 +60,45 @@ class Component:
         return None
 
 
+class EdgeView(Sequence):
+    """The edges of a graph as ``(u, v)`` pairs, u < v, indexed by identity.
+
+    A read-only view over the graph's endpoint columns: it indexes,
+    slices, iterates, compares equal to and prints as the tuple of pairs it
+    stands for, building each pair only when asked.
+    """
+
+    __slots__ = ("_u", "_v")
+
+    def __init__(self, us: array, vs: array):
+        self._u = us
+        self._v = vs
+
+    def __len__(self) -> int:
+        return len(self._u)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self._u[i], self._v[i]))
+        return (self._u[i], self._v[i])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._u, self._v)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeView):
+            return self._u == other._u and self._v == other._v
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class Multigraph:
     """Immutable loopless multigraph.
 
@@ -72,54 +114,57 @@ class Multigraph:
     ``len(rows)``, and gives the graph the edge-list constructor would give
     for its edges listed as sorted pairs.
 
-    Adjacency is held as one bitmask per vertex (bit ``w`` of ``_mask[v]``
-    is set iff v and w are adjacent).  Each distinct vertex pair maps to
-    the identity of its first edge in ``_first``, in first-occurrence
-    order; only pairs carrying parallel copies also appear in ``_copies``,
-    which lists all their identities in ascending order.  Incidence lists
-    are built on the first call to :meth:`incident`.
+    Edges are stored as columns, with no Python object per edge.  Edge e
+    joins ``us[e] < vs[e]``, two ``array('i')`` columns that
+    :attr:`endpoint_columns` hands to loops over many edges; :attr:`edges`
+    is a read-only view of the same columns as ``(u, v)`` pairs.  The pair
+    index lists the edges in pair-sorted order: ``_hi`` holds their upper
+    endpoints and ``_ids`` their identities, ascending within each pair,
+    and the edges with lower endpoint u sit at positions
+    ``_start[u]:_start[u + 1]``.  Input already in sorted order, as every
+    ``_from_rows`` graph is, shares ``_hi`` with the ``vs`` column and has
+    ``_ids = range(m)``.  Adjacency is also held as one bitmask per vertex
+    (bit ``w`` of ``_mask[v]`` is set iff v and w are adjacent).
+    Incidence lists are built on the first call to :meth:`incident`.
     """
 
-    __slots__ = ("n", "edges", "_inc", "_mask", "_deg", "_first", "_copies")
+    __slots__ = ("n", "_u", "_v", "_start", "_hi", "_ids", "_inc", "_mask", "_deg")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
         raw = list(pairs)
-        edges = [(u, v) if u < v else (v, u) for u, v in raw]
-        if edges and (
-            min(map(itemgetter(0), edges)) < 0
-            or max(map(itemgetter(1), edges)) >= n
-            or any(map(eq, map(itemgetter(0), edges), map(itemgetter(1), edges)))
-        ):
+        try:
+            us = array("i", [u if u < v else v for u, v in raw])
+            vs = array("i", [v if u < v else u for u, v in raw])
+        except OverflowError:
             _reject(n, raw)
-        self.n = n
-        self.edges = tuple(edges)
+        if raw and (min(us) < 0 or max(vs) >= n or any(map(eq, us, vs))):
+            _reject(n, raw)
 
-        # A dict keeps the position of a key's first insertion, so this is
-        # in first-occurrence order; its values are right for single edges.
-        first = dict(zip(edges, range(len(edges))))
-        copies: dict[tuple[int, int], tuple[int, ...]] = {}
-        if len(first) < len(edges):
-            ids: dict[tuple[int, int], list[int]] = {}
-            for e, uv in enumerate(edges):
-                ids.setdefault(uv, []).append(e)
-            copies = {uv: tuple(found) for uv, found in ids.items() if len(found) > 1}
-            for uv, found in copies.items():
-                first[uv] = found[0]
-
+        m = len(us)
+        codes = list(map(add, map(mul, us, repeat(n)), vs))
+        if all(map(le, codes, islice(codes, 1, None))):
+            ids, hi = range(m), vs
+        else:
+            ids = array("i", sorted(range(m), key=codes.__getitem__))
+            hi = array("i", [vs[e] for e in ids])
+            codes.sort()
         mask = [0] * n
-        for u, v in first:
+        deg = [0] * n
+        for u, v in zip(us, vs):
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        deg = [row.bit_count() for row in mask]
-        for (u, v), found in copies.items():
-            deg[u] += len(found) - 1
-            deg[v] += len(found) - 1
+            deg[u] += 1
+            deg[v] += 1
+        self.n = n
+        self._u = us
+        self._v = vs
+        self._start = array("i", map(bisect_left, repeat(codes), map(mul, range(n + 1), repeat(n))))
+        self._hi = hi
+        self._ids = ids
         self._mask = tuple(mask)
         self._deg = tuple(deg)
-        self._first = first
-        self._copies = copies
         self._inc: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -128,29 +173,31 @@ class Multigraph:
 
         The caller guarantees the rows are symmetric (bit v of ``rows[u]``
         iff bit u of ``rows[v]``), loopless and below bit ``len(rows)``.
-        The result equals ``Multigraph(len(rows), pairs)`` field by field,
+        The result equals ``Multigraph(len(rows), pairs)`` table by table,
         ``pairs`` being the edges (u, v), u < v, sorted.  Each row's bits
         above u are expanded in C: its reversed binary digits, as 0/1
-        bytes, select from one shared vertex list, so every endpoint is one
-        of ``len(rows)`` int objects.
+        bytes, select from the vertices above u straight into the ``vs``
+        column, and u is repeated as often into the ``us`` column.
         """
         n = len(rows)
-        verts = list(range(n))
         to_bytes = bytes.maketrans(b"01", b"\0\1")
-        # bin(r)[:1:-1] spells r's bits from bit 0 up, as "0"/"1"
-        above = (
-            bin(row >> u + 1)[:1:-1].encode().translate(to_bytes) for u, row in enumerate(rows)
-        )
-        edges = tuple(
-            chain.from_iterable(
-                zip(repeat(u), compress(verts[u + 1 :], bits)) for u, bits in zip(verts, above)
-            )
-        )
+        us, vs = array("i"), array("i")
+        one = array("i", [0])
+        counts = []
+        for u, row in enumerate(rows):
+            up = row >> u + 1
+            counts.append(up.bit_count())
+            one[0] = u
+            us += one * counts[-1]
+            # bin(r)[:1:-1] spells r's bits from bit 0 up, as "0"/"1"
+            vs.extend(compress(range(u + 1, n), bin(up)[:1:-1].encode().translate(to_bytes)))
         g = cls.__new__(cls)
         g.n = n
-        g.edges = edges
-        g._first = dict(zip(edges, range(len(edges))))
-        g._copies = {}
+        g._u = us
+        g._v = vs
+        g._start = array("i", accumulate(counts, initial=0))
+        g._hi = vs
+        g._ids = range(len(vs))
         g._mask = tuple(rows)
         g._deg = tuple(map(int.bit_count, rows))
         g._inc = None
@@ -160,7 +207,22 @@ class Multigraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._u)
+
+    @property
+    def edges(self) -> EdgeView:
+        """The edges as ``(u, v)`` pairs, u < v, indexed by identity."""
+        return EdgeView(self._u, self._v)
+
+    @property
+    def endpoint_columns(self) -> tuple[array, array]:
+        """``(us, vs)``: edge e joins ``us[e] < vs[e]``.
+
+        The columns behind :attr:`edges`, for loops over many edges: they
+        index the columns directly instead of building a pair per edge
+        through the view.  Callers only read them.
+        """
+        return self._u, self._v
 
     def degree(self, v: int) -> int:
         return self._deg[v]
@@ -173,10 +235,10 @@ class Multigraph:
         return max(self._deg, default=0)
 
     def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
+        return self._u[e], self._v[e]
 
     def other_end(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
+        u, w = self._u[e], self._v[e]
         if v == u:
             return w
         if v == w:
@@ -186,7 +248,7 @@ class Multigraph:
     def incident(self, v: int) -> tuple[int, ...]:
         if self._inc is None:
             inc: list[list[int]] = [[] for _ in range(self.n)]
-            for e, (a, b) in enumerate(self.edges):
+            for e, (a, b) in enumerate(zip(self._u, self._v)):
                 inc[a].append(e)
                 inc[b].append(e)
             self._inc = tuple(map(tuple, inc))
@@ -199,24 +261,26 @@ class Multigraph:
         return len(self.edge_ids_between(u, v))
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
-        uv = (u, v) if u < v else (v, u)
-        e = self._first.get(uv)
-        if e is None:
-            return ()
-        return self._copies.get(uv) or (e,)
+        if u > v:
+            u, v = v, u
+        hi, end = self._hi, self._start[u + 1]
+        i = bisect_left(hi, v, self._start[u], end)
+        return tuple(self._ids[i : bisect_right(hi, v, i, end)])
 
     def free_edge(self, uv: tuple[int, int], used: set[int]) -> int | None:
         """The lowest identity joining the sorted pair ``uv`` not in ``used``, or None.
 
-        Reads the first-edge table once and the parallel copies only when
-        that first edge is already used.
+        Bisects the pair index once, then walks the pair's copies in
+        ascending identity until one is unused.
         """
-        e = self._first.get(uv)
-        if e is None or e not in used:
-            return e
-        for e in self._copies.get(uv, ()):
+        u, v = uv
+        hi, ids, end = self._hi, self._ids, self._start[u + 1]
+        i = bisect_left(hi, v, self._start[u], end)
+        while i < end and hi[i] == v:
+            e = ids[i]
             if e not in used:
                 return e
+            i += 1
         return None
 
     def neighbours(self, v: int) -> Iterator[int]:
@@ -228,20 +292,21 @@ class Multigraph:
     def support_pairs(self) -> Iterator[tuple[int, int]]:
         """Distinct adjacent vertex pairs (u < v), ignoring multiplicity,
         in the order of their first edges."""
-        return iter(self._first)
+        return iter(dict.fromkeys(self.edges))
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same vertex count and edge multiset.
 
         Edge identity order is deliberately ignored; certificates compare
         edges by identity against a fixed host graph, never across graphs.
+        Equal multisets give equal pair indexes, up to the identities.
         """
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self.n == other.n and sorted(self.edges) == sorted(other.edges)
+        return self.n == other.n and self._start == other._start and self._hi == other._hi
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.edges))))
+        return hash((self.n, self._start.tobytes(), self._hi.tobytes()))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m})"
@@ -287,14 +352,15 @@ def components_of(g: Multigraph, edge_set: Iterable[int]) -> list[Component]:
     smallest vertex.
     """
     f = set(edge_set)
+    m = g.m
     for e in f:
-        if not 0 <= e < g.m:
+        if not 0 <= e < m:
             raise GraphError(f"unknown edge identity {e}")
+    us, vs = g.endpoint_columns
     inc = [[] for _ in range(g.n)]
     for e in f:
-        u, v = g.edges[e]
-        inc[u].append(e)
-        inc[v].append(e)
+        inc[us[e]].append(e)
+        inc[vs[e]].append(e)
 
     seen = [False] * g.n
     out = []
@@ -309,7 +375,7 @@ def components_of(g: Multigraph, edge_set: Iterable[int]) -> list[Component]:
             x = stack.pop()
             for e in inc[x]:
                 edges.add(e)
-                y = g.other_end(e, x)
+                y = vs[e] if us[e] == x else us[e]
                 if not seen[y]:
                     seen[y] = True
                     verts.append(y)

@@ -451,7 +451,8 @@ def verify_immersion(
         return ValidityReport.from_failures(failures)
 
     paths = imm.paths
-    m, edges = g.m, g.edges
+    m = g.m
+    us, vs = g.endpoint_columns
     tally = bytearray(m)  # 1 once an edge identity is on some path
     reused: set[int] = set()
     missing: list[str] = []
@@ -465,7 +466,7 @@ def verify_immersion(
         found += 1
         if len(seq) == 1:
             e = seq[0]
-            if 0 <= e < m and edges[e] == key:
+            if 0 <= e < m and us[e] == key[0] and vs[e] == key[1]:
                 if tally[e]:
                     reused.add(e)
                 tally[e] = 1
@@ -478,7 +479,7 @@ def verify_immersion(
             if not 0 <= e < m:
                 broken.append(f"path for pair {key} uses unknown edge {e}")
                 break
-            u, w = edges[e]
+            u, w = us[e], vs[e]
             if at == u:
                 at = w
             elif at == w:
@@ -523,8 +524,7 @@ def verify_immersion(
             for e in seq:
                 if not 0 <= e < m:
                     continue
-                u, w = edges[e]
-                if u not in allowed or w not in allowed:
+                if us[e] not in allowed or vs[e] not in allowed:
                     failures.append(
                         f"path for pair {key} leaves its classes at edge {e}"
                     )

@@ -42,16 +42,21 @@ def random_simple(n: int, p: float, rng: random.Random) -> Multigraph:
 
 
 def graph_fields(g: Multigraph) -> tuple:
-    """Every table of ``g``, incidence lists included, for field-by-field equality."""
+    """Everything ``g`` answers, incidence lists included, for field-by-field equality.
+
+    Pair lookups cover every ordered vertex pair, absent pairs too, and
+    ``free_edge`` is asked for each sorted pair with its first copy used.
+    """
     assert g._inc is None  # built on first use, by either constructor
+    between = {(u, v): g.edge_ids_between(u, v) for u in range(g.n) for v in range(g.n)}
     return (
         g.n,
-        g.edges,
-        list(g._first.items()),
-        g._copies,
-        g._mask,
-        g._deg,
+        tuple(g.edges),
+        between,
+        [g.free_edge((u, v), set(ids[:1])) for (u, v), ids in between.items() if u < v],
         list(g.support_pairs()),
+        [g.adjacency_mask(v) for v in range(g.n)],
+        g.degrees,
         [g.incident(v) for v in range(g.n)],
     )
 

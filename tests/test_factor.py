@@ -85,6 +85,14 @@ def test_max_pair_rejects_odd_multiplicity():
         max_f_bounded_subgraph(cycle(3))
 
 
+def test_odd_multiplicity_is_named_in_first_edge_order():
+    """The first odd pair in the order of first edges is named, not the least."""
+    g = Multigraph(4, [(3, 2), (0, 2), (2, 0), (1, 0)])
+    with pytest.raises(PremiseError) as err:
+        max_f_bounded_subgraph(g)
+    assert str(err.value) == "edge 2-3 has odd multiplicity 1"
+
+
 def test_subgraph_doubled_star():
     g = star(3).doubled()
     h, pair = max_f_bounded_subgraph(g)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,13 +140,65 @@ def test_generated_graphs_match_the_edge_list_constructor(n, density):
     assert graph_fields(g) == graph_fields(Multigraph(n, rows_edges(g._mask)))
 
 
-def test_from_rows_shares_one_int_per_vertex():
-    # ints below 256 are cached by the interpreter anyway
-    g = gen_alpha2(300, 0.5, 1)
-    first: dict[int, int] = {}
-    for x in (x for uv in g.edges for x in uv if x >= 256):
-        assert first.setdefault(x, x) is x
-    assert len(first) == 300 - 256
+def test_generated_graphs_keep_no_object_per_edge():
+    """A dense generated graph keeps its edges in columns: at most 24 B per
+    edge stay allocated once it is built, not a tuple and a dict entry
+    (about 130 B) per edge."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = gen_alpha2(601, 0.8, 1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.m > 100_000
+    assert kept <= 24 * g.m
+
+
+def test_edge_view_reads_as_the_tuple_of_pairs():
+    pairs = [(2, 0), (1, 2), (0, 1), (2, 0)]
+    g = Multigraph(3, pairs)
+    want = ((0, 2), (1, 2), (0, 1), (0, 2))
+    view = g.edges
+    assert len(view) == 4
+    assert view[0] == (0, 2) and view[-1] == (0, 2) and view[-3] == (1, 2)
+    assert view[1:3] == ((1, 2), (0, 1)) and view[::-2] == ((0, 2), (1, 2))
+    assert view[1:3] == want[1:3]
+    assert view == want and want == view
+    assert not view != want and not want != view
+    assert view != want[:3] and want[:3] != view
+    assert view == Multigraph(3, pairs).edges
+    assert view != Multigraph(3, pairs[:3]).edges
+    assert list(view) == list(want) and tuple(view) == want
+    assert repr(view) == repr(want)
+    assert repr((g.n, view)) == repr((g.n, want))
+    assert (0, 1) in view and (1, 0) not in view
+    assert sorted(view) == sorted(want)
+    with pytest.raises(IndexError):
+        view[4]
+    with pytest.raises(TypeError):
+        view[0] = (1, 2)
+
+
+def test_unsorted_multigraph_index():
+    """Input out of pair order, copies interleaved: every pair lists its
+    identities ascending, ``free_edge`` hands out the lowest unused one and
+    ``support_pairs`` follows first edges."""
+    g = Multigraph(5, [(3, 4), (1, 0), (4, 3), (2, 0), (0, 1), (3, 4), (0, 2), (1, 0)])
+    assert g.edge_ids_between(4, 3) == (0, 2, 5)
+    assert g.edge_ids_between(0, 1) == (1, 4, 7)
+    assert g.edge_ids_between(2, 0) == (3, 6)
+    assert g.edge_ids_between(1, 2) == () and g.edge_ids_between(0, 4) == ()
+    assert [g.free_edge((3, 4), used) for used in (set(), {0}, {0, 2}, {0, 2, 5}, {2})] == [
+        0, 2, 5, None, 0,
+    ]
+    assert [g.free_edge((0, 1), used) for used in ({1, 7}, {1, 4}, {1, 4, 7})] == [4, 7, None]
+    assert g.free_edge((1, 2), set()) is None
+    assert list(g.support_pairs()) == [(3, 4), (0, 1), (0, 2)]
+
+    same = Multigraph(5, sorted(g.edges))
+    assert same == g and hash(same) == hash(g)
+    assert g != Multigraph(5, list(g.edges)[1:]) and g != Multigraph(6, g.edges)
 
 
 def test_build_normalizes_endpoint_order():
