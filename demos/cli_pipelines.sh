@@ -77,6 +77,23 @@ if doc["t_source"] != "certificate" or not doc["ok"]:
 EOF
 
 echo
+echo '# a faithful colouring need not be optimal: singletons 0 and 1 meet the'
+echo '# class {2, 3} in one edge each, at different halves (a disputed class),'
+echo '# and the certificate still verifies'
+printf '4 3\n0 2\n1 3\n0 1\n' > "$workdir/disputed.txt"
+cat > "$workdir/disputed-cert.json" <<'EOF'
+{"kind":"immersion","t":2,"corners":[0,1],"paths":[{"pair":[0,1],"edges":[2]}],"classes":[[0],[1],[2,3]]}
+EOF
+kchi verify "$workdir/disputed.txt" "$workdir/disputed-cert.json" > "$workdir/disputed-verdict.json"
+python3 - "$workdir/disputed-verdict.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+if doc["ok"] is not True:
+    sys.exit(f"BUG: the disputed-class certificate was rejected: {doc['failures']}")
+print("disputed class: accepted, t", doc["t"])
+EOF
+
+echo
 echo '# a tampered certificate is rejected with exit code 1'
 python3 - "$workdir/cert.json" "$workdir/bad.json" <<'EOF'
 import json, sys

@@ -183,7 +183,7 @@ def build_bridge_digraph(
     labels = corner_labels(g, col)
     x_nodes = tuple(sorted(cls for cls in col.attached if col.owner[cls] == v))
     y_nodes = tuple(sorted(col.detached))
-    inner = tuple(cls[0] if cls[1] == labels[cls] else cls[1] for cls in x_nodes)
+    inner = tuple(map(col.inner, x_nodes))
     corner = tuple(labels[cls] for cls in x_nodes)
 
     far_corners = _bits(y_corners)
@@ -528,13 +528,13 @@ def _immerse(
             levels.append(col)
 
         # with α ≤ 2, ⌈|down|/2⌉ classes prove the restriction to ``down`` optimal
-        down = tuple(sorted(v for cls in handed for v in cls))
+        col = _with_split(g, handed)
+        down = col.vertices
         if len(handed) != (len(down) + 1) // 2:
             raise CertificateError(
                 "handed-down vertex set has an unexpected class count",
                 dump={"verts": down, "expected": (len(down) + 1) // 2, "got": len(handed)},
             )
-        col = _with_split(g, handed)
 
     for col in reversed(levels):
         singles = col.singletons
@@ -547,8 +547,7 @@ def _immerse(
         # general shape: the detached side below gave the far corners; the
         # singletons and attached classes get a faithful immersion, then join
         y_corners = corners
-        attached = set(col.attached)
-        x_classes = [cls for cls in col.classes if len(cls) == 1 or cls in attached]
+        x_classes = [(u,) for u in singles] + list(col.attached)
         x_corners = _faithful_immersion(g, _with_split(g, x_classes), used, paths)
 
         # every (singleton, far corner) and unbridged (class corner, far corner)

@@ -268,13 +268,13 @@ def parse_edge_list(text: str) -> Multigraph:
 
 
 def emit_edge_list(g: Multigraph) -> str:
-    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, hi in g.sorted_runs() for v in hi]
     return "\n".join(lines) + "\n"
 
 
 def emit_dot(g: Multigraph) -> str:
     lines = [f"  {v};" for v in range(g.n) if g.degree(v) == 0]
-    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
+    lines += [f"  {u} -- {v};" for u, hi in g.sorted_runs() for v in hi]
     return "graph g {\n" + "\n".join(lines) + ("\n" if lines else "") + "}\n"
 
 

@@ -224,6 +224,12 @@ class Multigraph:
         """
         return self._u, self._v
 
+    def sorted_runs(self) -> Iterator[tuple[int, array]]:
+        """``(u, hi)`` for each vertex u: the higher ends of u's edges to higher
+        vertices, ascending, one per copy, so the runs list ``sorted(g.edges)``."""
+        start, hi = self._start, self._hi
+        return zip(range(self.n), map(hi.__getitem__, map(slice, start, start[1:])))
+
     def degree(self, v: int) -> int:
         return self._deg[v]
 

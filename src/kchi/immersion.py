@@ -4,8 +4,10 @@ When no three vertices are pairwise non-adjacent, every optimal colouring
 consists of classes of size one or two (pairs are non-edges), so the
 chromatic number is ``n`` minus a maximum matching of the complement.  This
 module computes such colourings, classifies their pair classes by how the
-singleton classes attach to them, and realizes the central building block of
-the immersion constructor: a K_χ immersion whose paths never leave the two
+singleton classes attach to them (``_with_split``, the only code that applies
+the corner rule: all singletons meeting a pair class in exactly one edge meet
+the same half, its corner), and realizes the central building block of the
+immersion constructor: a K_χ immersion whose paths never leave the two
 classes they connect, available whenever every pair class has a singleton
 attached by exactly one edge.
 
@@ -36,6 +38,7 @@ the singletons' non-edges into pair classes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -54,7 +57,9 @@ class PairColouring:
     ``singletons`` lists the vertices forming size-1 classes.  A pair class
     is *attached* when some singleton meets it in exactly one edge; ``owner``
     maps each attached class to the lowest such singleton.  The remaining
-    pair classes are *detached*.
+    pair classes are *detached*.  ``corner`` maps each attached class to the
+    one half all its attachers meet; ``disputed`` lists the attached classes
+    whose attachers meet both halves, which no optimal colouring has.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -62,14 +67,20 @@ class PairColouring:
     attached: tuple[tuple[int, int], ...]
     detached: tuple[tuple[int, int], ...]
     owner: dict[tuple[int, int], int] = field(compare=False)
+    corner: dict[tuple[int, int], int] = field(default_factory=dict, compare=False)
+    disputed: tuple[tuple[int, int], ...] = ()
 
-    @property
+    @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.attached + self.detached))
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(v for cls in self.classes for v in cls))
+
+    def inner(self, cls: tuple[int, int]) -> int:
+        """The half of the attached class ``cls`` that is not its corner."""
+        return cls[1] if self.corner[cls] == cls[0] else cls[0]
 
     @cached_property
     def _detached_halves(self) -> tuple[int, dict[int, int]]:
@@ -126,16 +137,16 @@ def _colouring_failures(g: Multigraph, classes) -> list[str]:
     return bad
 
 
-def _check_colouring(g: Multigraph, classes) -> tuple[int, ...]:
+def _check_colouring(g: Multigraph, classes) -> None:
     """Validate shape: disjoint independent classes of size one or two."""
     bad = _colouring_failures(g, classes)
     if bad:
         raise PremiseError(bad[0])
-    return tuple(sorted(v for cls in classes for v in cls))
 
 
 def _with_split(g: Multigraph, classes) -> PairColouring:
-    """Attach the singleton/pair/attached/detached split to raw classes."""
+    """Attach the singleton/pair/attached/detached split, with each attached
+    class's owner and corner or dispute, to raw classes of any shape."""
     norm = tuple(sorted(tuple(sorted(cls)) for cls in classes))
     singles = tuple(cls[0] for cls in norm if len(cls) == 1)
     pairs = [cls for cls in norm if len(cls) == 2]
@@ -147,17 +158,26 @@ def _with_split(g: Multigraph, classes) -> PairColouring:
 
     single_bits = _bits(v for v in singles if 0 <= v < g.n)
     owner: dict[tuple[int, int], int] = {}
-    for cls in pairs:
+    corner: dict[tuple[int, int], int] = {}
+    disputed = []
+    for cls in pairs if single_bits else ():  # no singleton: no class attaches
+        row_a, row_b = row(cls[0]), row(cls[1])
         # singletons adjacent to exactly one half of the class; the lowest owns it
-        once = (row(cls[0]) ^ row(cls[1])) & single_bits
+        once = (row_a ^ row_b) & single_bits
         if once:
             owner[cls] = (once & -once).bit_length() - 1
+            if once & row_a and once & row_b:
+                disputed.append(cls)
+            else:
+                corner[cls] = cls[0] if once & row_a else cls[1]
     return PairColouring(
         classes=norm,
         singletons=singles,
         attached=tuple(cls for cls in pairs if cls in owner),
         detached=tuple(cls for cls in pairs if cls not in owner),
         owner=owner,
+        corner=corner,
+        disputed=tuple(disputed),
     )
 
 
@@ -187,9 +207,9 @@ def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
 
 def _require_optimal(g: Multigraph, col: PairColouring, what: str) -> None:
     """Raise ``PremiseError`` unless ``col`` is an optimal colouring of its vertices."""
-    verts = _check_colouring(g, col.classes)
-    mate = maximum_matching(g.n, _non_adjacency(g, verts))
-    if len(col.classes) != len(verts) - matching_size(mate):
+    _check_colouring(g, col.classes)
+    mate = maximum_matching(g.n, _non_adjacency(g, col.vertices))
+    if len(col.classes) != len(col.vertices) - matching_size(mate):
         raise PremiseError(f"{what} needs an optimal colouring")
 
 
@@ -207,34 +227,21 @@ def chi_alpha2(g: Multigraph) -> tuple[int, PairColouring]:
     return len(col.classes), col
 
 
-def _named_halves(g: Multigraph, singles: int, cls: tuple[int, int]) -> set[int]:
-    """The halves of ``cls`` adjacent to some singleton (in the mask
-    ``singles``) that meets the class in exactly one edge."""
-    a, b = cls
-    row_a, row_b = g.adjacency_mask(a), g.adjacency_mask(b)
-    once = (row_a ^ row_b) & singles
-    return {x for x, row in ((a, row_a), (b, row_b)) if once & row}
-
-
 def corner_labels(g: Multigraph, col: PairColouring) -> dict[tuple[int, int], int]:
     """For each attached class, the vertex every attaching singleton leans on.
 
     A singleton meeting a pair class in exactly one edge determines a
     distinguished *corner* half of the class; all such singletons name the
     same vertex in any optimal colouring.  Disagreement means the input was
-    not an optimal colouring and is reported as a broken certificate.
+    not an optimal colouring and is reported as a broken certificate; both
+    are read off ``col``'s split, not off ``g``.
     """
-    labels: dict[tuple[int, int], int] = {}
-    singles = _bits(col.singletons)
-    for cls in col.attached:
-        named = _named_halves(g, singles, cls)
-        if len(named) != 1:
-            raise CertificateError(
-                "attaching singletons disagree on the corner half",
-                dump={"class": cls, "named": sorted(named)},
-            )
-        labels[cls] = named.pop()
-    return labels
+    if col.disputed:
+        raise CertificateError(
+            "attaching singletons disagree on the corner half",
+            dump={"class": col.disputed[0], "named": list(col.disputed[0])},
+        )
+    return col.corner
 
 
 def _no_free_edge(g: Multigraph, u: int, w: int) -> CertificateError:
@@ -317,6 +324,17 @@ def _count_gap(
     return lhs, rhs
 
 
+def _violations(g: Multigraph, col: PairColouring) -> Iterator[tuple[int, tuple, int, int]]:
+    """Each attached class that breaks the counting inequality, as
+    ``(owner, class, lhs, rhs)``, by owner and then by class."""
+    labels = corner_labels(g, col)
+    for v, group in sorted(_grouped_by_owner(col).items()):
+        for cls in sorted(group):
+            lhs, rhs = _count_gap(g, col, labels, group, cls)
+            if lhs > rhs:
+                yield v, cls, lhs, rhs
+
+
 def refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
     """Rework the colouring until the counting inequality holds everywhere.
 
@@ -335,24 +353,13 @@ def refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
 def _refine_split(g: Multigraph, col: PairColouring) -> PairColouring:
     """``refine_split`` on a colouring already known to be optimal."""
     for _ in range(len(col.pairs) + 1):
-        labels = corner_labels(g, col)
-        groups = _grouped_by_owner(col)
-        swap = None
-        for v in sorted(groups):
-            for cls in sorted(groups[v]):
-                lhs, rhs = _count_gap(g, col, labels, groups[v], cls)
-                if lhs > rhs:
-                    swap = (v, cls)
-                    break
-            if swap:
-                break
+        swap = next(_violations(g, col), None)
         if swap is None:
             return col
-        v, cls = swap
-        corner = labels[cls]
-        inner = cls[0] if cls[1] == corner else cls[1]
+        v, cls, _, _ = swap
         retained = [c for c in col.classes if c != (v,) and c != cls]
-        next_col = _with_split(g, retained + [(corner,), tuple(sorted((v, inner)))])
+        swapped = [(col.corner[cls],), tuple(sorted((v, col.inner(cls))))]
+        next_col = _with_split(g, retained + swapped)
         if len(next_col.attached) <= len(col.attached):
             raise CertificateError(
                 "swap failed to enlarge the attached family",
@@ -393,11 +400,9 @@ def _faithful_immersion(
             f"pair class {col.detached[0]} has no singleton attached by exactly one edge"
         )
     labels = corner_labels(g, col)
-    inner = {cls: cls[0] if cls[1] == labels[cls] else cls[1] for cls in col.attached}
-    corners = tuple(sorted(list(col.singletons) + [labels[cls] for cls in col.attached]))
-
     singles = col.singletons
-    halves = [(labels[cls], inner[cls]) for cls in col.attached]
+    halves = [(labels[cls], col.inner(cls)) for cls in col.attached]
+    corners = tuple(sorted(singles + tuple(c for c, _ in halves)))
     direct = list(combinations(singles, 2)) + [(a, c) for a in singles for c, _ in halves]
     routes = []
     for (ca, ia), (cb, ib) in combinations(halves, 2):
@@ -541,14 +546,9 @@ def verify_immersion(
 
 
 def audit_shared_attachment(g: Multigraph, col: PairColouring) -> list[str]:
-    """All singletons attaching to a pair class by one edge name one vertex."""
-    bad = []
-    singles = _bits(col.singletons)
-    for cls in col.pairs:
-        named = _named_halves(g, singles, cls)
-        if len(named) > 1:
-            bad.append(f"attachers of class {cls} split between {sorted(named)}")
-    return bad
+    """All singletons attaching to a pair class by one edge name one vertex
+    (the split lists the classes where they do not in ``col.disputed``)."""
+    return [f"attachers of class {cls} split between {list(cls)}" for cls in col.disputed]
 
 
 def audit_singleton_clique(g: Multigraph, col: PairColouring) -> list[str]:
@@ -609,17 +609,11 @@ def audit_double_nonedge(g: Multigraph, col: PairColouring) -> list[str]:
 
 def audit_refined(g: Multigraph, col: PairColouring) -> list[str]:
     """The counting inequality of refine_split holds for every attached class."""
-    labels = corner_labels(g, col)
-    bad = []
-    for v, group in sorted(_grouped_by_owner(col).items()):
-        for cls in sorted(group):
-            lhs, rhs = _count_gap(g, col, labels, group, cls)
-            if lhs > rhs:
-                bad.append(
-                    f"class {cls} of owner {v}: {lhs} singly-met detached classes "
-                    f"but only {rhs} doubly-met companions"
-                )
-    return bad
+    return [
+        f"class {cls} of owner {v}: {lhs} singly-met detached classes "
+        f"but only {rhs} doubly-met companions"
+        for v, cls, lhs, rhs in _violations(g, col)
+    ]
 
 
 def run_colouring_audits(g: Multigraph, col: PairColouring) -> list[str]:

@@ -162,3 +162,33 @@ def reference_double_nonedge(g: Multigraph, col: PairColouring) -> list[str]:
                                     f"misses edge {x}-{y}"
                                 )
     return bad
+
+
+# The corner rule as it was applied before the split recorded it: each
+# question about a pair class rescans the singletons.  A singleton meeting
+# the class in exactly one edge attaches to it; the lowest attacher owns the
+# class, and the halves the attachers meet name its corner, or dispute it.
+# A vertex outside the graph has no edges.
+
+
+def reference_split(g: Multigraph, classes) -> tuple[dict, dict, tuple, list[str]]:
+    """``(owner, corner, disputed, shared-attachment failures)`` of raw classes."""
+
+    def adjacent(u: int, v: int) -> bool:
+        return 0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)
+
+    norm = sorted(tuple(sorted(cls)) for cls in classes)
+    singles = [cls[0] for cls in norm if len(cls) == 1]
+    owner, corner, disputed, bad = {}, {}, [], []
+    for cls in (cls for cls in norm if len(cls) == 2):
+        attachers = [s for s in singles if adjacent(s, cls[0]) + adjacent(s, cls[1]) == 1]
+        if not attachers:
+            continue
+        owner[cls] = min(attachers)
+        named = sorted({x for s in attachers for x in cls if adjacent(s, x)})
+        if len(named) == 1:
+            corner[cls] = named[0]
+        else:
+            disputed.append(cls)
+            bad.append(f"attachers of class {cls} split between {named}")
+    return owner, corner, tuple(disputed), bad

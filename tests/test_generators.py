@@ -163,6 +163,29 @@ class TestEdgeListFormat:
         out = emit_dot(parse_edge_list("3 1\n0 1\n"))
         assert out == "graph g {\n  2;\n  0 -- 1;\n}\n"
 
+    def test_emitters_list_shuffled_multigraphs_in_sorted_order(self):
+        # edges given in random order and orientation, parallel copies
+        # interleaved: both emitters print the sorted edge list
+        rng = random.Random(2020)
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            pairs = [
+                (u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(n)
+                for v in range(u + 1, n)
+                for _ in range(rng.choice((0, 0, 1, 3)))
+            ]
+            rng.shuffle(pairs)
+            g = Multigraph(n, pairs)
+            ordered = sorted(g.edges)
+            assert emit_edge_list(g) == "".join(
+                [f"{n} {len(pairs)}\n"] + [f"{u} {v}\n" for u, v in ordered]
+            )
+            isolated = [f"  {v};\n" for v in range(n) if g.degree(v) == 0]
+            assert emit_dot(g) == "".join(
+                ["graph g {\n"] + isolated + [f"  {u} -- {v};\n" for u, v in ordered] + ["}\n"]
+            )
+
 
 class TestCertificateJson:
     def test_round_trip(self):

@@ -38,6 +38,7 @@ from helpers import (
     reference_double_nonedge,
     reference_inner_adjacency,
     reference_singleton_clique,
+    reference_split,
     star,
 )
 
@@ -117,6 +118,79 @@ class TestCornerLabels:
         col = _with_split(g, [(0,), (1,), (2, 3)])
         with pytest.raises(CertificateError, match="disagree"):
             corner_labels(g, col)
+
+    def test_parsed_certificate_with_a_disputed_class(self):
+        # singletons 0 and 1 attach to (2, 3) at different halves; the
+        # certificate parses and verifies, but names no corner for the class
+        g = Multigraph(4, [(0, 2), (1, 3), (0, 1)])
+        text = json.dumps(
+            {
+                "kind": "immersion", "t": 2, "corners": [0, 1],
+                "paths": [{"pair": [0, 1], "edges": [2]}], "classes": [[0], [1], [2, 3]],
+            }
+        )
+        imm = parse_certificate(g, text)
+        assert verify_immersion(g, imm, chi_alpha2(g)[0]).ok
+        col = imm.faithful_to
+        assert col.disputed == ((2, 3),) and col.corner == {}
+        with pytest.raises(CertificateError, match="disagree") as err:
+            corner_labels(g, col)
+        assert err.value.dump == {"class": (2, 3), "named": [2, 3]}
+
+    def test_split_matches_the_per_class_rescan(self):
+        # random colourings of random hosts, some with an independent
+        # triple, with classes of any shape and vertices outside the graph,
+        # as a parsed certificate may hold
+        rng = random.Random(5150)
+        seen = {"triple": 0, "disputed": 0, "cornered": 0, "outside": 0}
+        for _ in range(2400):
+            n = rng.randint(1, 14)
+            p = rng.choice((0.2, 0.5, 0.8, 0.95))
+            g = Multigraph(
+                n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+            )
+            order = rng.sample(range(n), n)
+            classes = []
+            while order:
+                classes.append(tuple(order.pop() for _ in range(min(len(order), rng.randint(1, 2)))))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                stray = rng.choice((-1 - rng.randrange(3), n + rng.randrange(3)))
+                cls = rng.choice(((stray,), (stray, rng.randrange(n)), (), (0, 1, 2)))
+                classes.append(cls)
+            col = _with_split(g, classes)
+            owner, corner, disputed, bad = reference_split(g, classes)
+            assert (col.owner, col.corner, col.disputed) == (owner, corner, disputed)
+            assert col.attached == tuple(sorted(owner))
+            assert audit_shared_attachment(g, col) == bad
+            if disputed:
+                with pytest.raises(CertificateError, match="disagree"):
+                    corner_labels(g, col)
+            else:
+                assert corner_labels(g, col) == corner
+            seen["triple"] += n >= 3 and not alpha_at_most_2(g)
+            seen["disputed"] += bool(disputed)
+            seen["cornered"] += bool(corner)
+            seen["outside"] += any(not 0 <= v < n for cls in owner for v in cls)
+        assert min(seen.values()) > 200, seen
+
+    def test_corner_reads_make_no_adjacency_lookups(self, monkeypatch):
+        hosts = [cycle(5), Multigraph(9, REFINE_EDGES), Multigraph(4, [(0, 2), (1, 3), (0, 1)])]
+        cols = [chi_alpha2(g)[1] for g in hosts[:2]] + [_with_split(hosts[2], [(0,), (1,), (2, 3)])]
+        lookups = []
+        real = Multigraph.adjacency_mask
+        monkeypatch.setattr(
+            Multigraph, "adjacency_mask", lambda g, v: lookups.append(v) or real(g, v)
+        )
+        for g, col in zip(hosts, cols):
+            if not col.disputed:
+                assert corner_labels(g, col) == col.corner
+            audit_shared_attachment(g, col)
+        assert lookups == []
+        # with no singleton no class attaches, and no row is read
+        col = _with_split(cocktail(4), [(0, 1), (2, 3), (4, 5), (6, 7)])
+        assert col.detached == ((0, 1), (2, 3), (4, 5), (6, 7)) and lookups == []
+        _with_split(cycle(5), [(0, 2), (1, 3), (4,)])
+        assert lookups
 
 
 # a 9-vertex instance whose matching colouring violates the counting
