@@ -58,6 +58,20 @@ kchi verify "$workdir/g400.json" "$workdir/cert400.json" > /dev/null
 echo "verified"
 
 echo
+echo '# the shortest level chains: no vertex (t = 0), one vertex (t = 1), and a'
+echo '# host whose chain passes two levels where no class is attached; each'
+echo '# level joins its singletons to the corners below by direct edges'
+printf '0 0\n' > "$workdir/empty.txt"
+printf '1 0\n' > "$workdir/single.txt"
+printf '5 8\n0 2\n0 3\n1 2\n1 3\n0 4\n1 4\n2 4\n3 4\n' > "$workdir/unattached.txt"
+for host in empty single unattached; do
+    kchi immerse "$workdir/$host.txt" > "$workdir/$host-cert.json"
+    kchi verify "$workdir/$host.txt" "$workdir/$host-cert.json" > /dev/null
+    python3 -c "import json,sys; print(sys.argv[2], 'corners', json.load(open(sys.argv[1]))['corners'], 'verified')" \
+        "$workdir/$host-cert.json" "$host"
+done
+
+echo
 echo '# a host with an independent triple: the 6-cycle immerses K3 on 0, 2, 4;'
 echo '# with no chi to check against, t comes from the certificate itself'
 printf '6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n' > "$workdir/c6.txt"
@@ -130,6 +144,22 @@ for bad in edge classes; do
     fi
     echo "malformed $bad: rejected as bad input (exit $status)"
 done
+
+echo
+echo '# a certificate that lists a pair twice is bad input, exit code 2: the'
+echo '# first path of (0, 1) spends edges 2 and 1, which the other paths reuse'
+printf '3 3\n0 1\n1 2\n0 2\n' > "$workdir/k3.txt"
+cat > "$workdir/k3-twice.json" <<'EOF'
+{"kind": "immersion", "t": 3, "corners": [0, 1, 2],
+ "paths": [{"pair": [0, 1], "edges": [2, 1]}, {"pair": [0, 1], "edges": [0]},
+           {"pair": [0, 2], "edges": [2]}, {"pair": [1, 2], "edges": [1]}]}
+EOF
+status=0
+kchi verify "$workdir/k3.txt" "$workdir/k3-twice.json" > /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "BUG: a pair listed twice gave exit $status, not 2"; exit 1
+fi
+echo "pair listed twice: rejected as bad input (exit $status)"
 
 echo
 echo '# a malformed JSON graph document is bad input too, exit code 2'

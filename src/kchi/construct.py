@@ -1,17 +1,17 @@
 """Construction of a K_χ immersion in a graph with no independent triple.
 
-The construction follows the colouring's shape, level by level.  With no
-singleton classes, any vertex can be deleted without lowering the chromatic
-number.  With singletons but no attached pair class, every singleton is
-universal and extends the immersion of the rest by direct edges.  Otherwise
-the detached pair classes are immersed on their own, the singletons and
-attached classes get a faithful immersion, and the two corner sets are
-joined: singletons reach the far corners by direct edges, and each attached
-class's corner reaches a far corner y either directly (when the edge exists)
-or along a short bridge through non-corner vertices.  Each level hands down
-at most one smaller vertex set, so the levels form a chain, walked by a loop
-rather than a recursion: down once to audit every level and pick its vertex
-set, then up once to lay each level's paths after those of the level below.
+The construction follows the colouring's shape, level by level, with one
+of two steps.  With no singleton class, any vertex can be deleted without
+lowering the chromatic number.  Otherwise the detached pair classes are
+immersed on their own, the singletons and attached classes get a faithful
+immersion, and the two corner sets are joined: singletons reach the far
+corners by direct edges, and each attached class's corner reaches a far
+corner y either directly (when the edge exists) or along a short bridge
+through non-corner vertices; with no attached class (a complete level
+among them) every join is a direct edge.  Each level hands down a smaller
+vertex set, so the levels form a chain down to the empty set, walked by a
+loop rather than a recursion: down once to audit every level and pick its
+vertex set, then up once to lay each level's paths after those below.
 
 Bridges are rationed through an auxiliary digraph whose arcs encode the
 available length-2 detours between a class's inner half and its corner.  Each
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 from .decorated import (
@@ -62,7 +61,7 @@ from .decorated import (
 )
 from .errors import CertificateError, PremiseError
 from .gcpause import gc_paused
-from .graphs import Multigraph, alpha_at_most_2, components_of, iter_bits
+from .graphs import Multigraph, components_of, iter_bits
 from .immersion import (
     Immersion,
     PairColouring,
@@ -485,25 +484,20 @@ def _immerse(
     """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it.
 
     The paths go into ``paths``; the corners are returned.  The first loop
-    walks down the level chain, the second back up it.
+    walks down the level chain to the empty set, the second back up it.  A
+    level drops a vertex, or joins its faithful side to its detached rest.
     """
     levels = []  # the refined colourings of levels with singletons, top first
-    while True:
-        verts = col.vertices
-        if len(col.classes) == len(verts):  # complete, or at most one vertex: identity
-            _join_directly(g, combinations(verts, 2), used, paths)
-            corners = verts
-            break
-
+    while col.vertices:
         bad = run_colouring_audits(g, col)
         if bad:
             raise CertificateError(
                 "structural audit failed on an optimal colouring",
-                dump={"failures": bad[:6], "verts": verts},
+                dump={"failures": bad[:6], "verts": col.vertices},
             )
 
         if not col.singletons:
-            # all pairs: drop verts[0] (in the first class), keep its partner
+            # all pairs: drop the first class's lower vertex, keep its partner
             handed = col.classes[1:] + (col.classes[0][1:],)
         else:
             # a refine swap keeps the class count: no second proof is needed
@@ -514,17 +508,7 @@ def _immerse(
                     "counting inequality still violated after refinement",
                     dump={"failures": bad[:6]},
                 )
-            if not col.attached:
-                # every singleton is universal in G[verts] and extends directly
-                verts_mask = _bits(verts)
-                for u in col.singletons:
-                    if verts_mask & ~g.adjacency_mask(u) & ~(1 << u):
-                        raise CertificateError(
-                            "detached singleton misses a vertex", dump={"singleton": u}
-                        )
-                handed = col.pairs
-            else:
-                handed = col.detached
+            handed = col.detached
             levels.append(col)
 
         # with α ≤ 2, ⌈|down|/2⌉ classes prove the restriction to ``down`` optimal
@@ -536,25 +520,16 @@ def _immerse(
                 dump={"verts": down, "expected": (len(down) + 1) // 2, "got": len(handed)},
             )
 
+    corners: tuple[int, ...] = ()  # the levels below: this level's far corners
     for col in reversed(levels):
-        singles = col.singletons
-        if not col.attached:
-            later = ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + corners)
-            _join_directly(g, later, used, paths)
-            corners = tuple(sorted(singles + corners))
-            continue
-
-        # general shape: the detached side below gave the far corners; the
-        # singletons and attached classes get a faithful immersion, then join
-        y_corners = corners
-        x_classes = [(u,) for u in singles] + list(col.attached)
-        x_corners = _faithful_immersion(g, _with_split(g, x_classes), used, paths)
+        # the singletons and attached classes get a faithful immersion
+        x_corners = _faithful_immersion(g, col, used, paths)
 
         # every (singleton, far corner) and unbridged (class corner, far corner)
         # pair is one edge; these pairs share no vertex pair with a bridge
-        direct = [(a, y) for a in singles for y in y_corners]
+        direct = [(a, y) for a in col.singletons for y in corners]
         for v in sorted(_grouped_by_owner(col)):
-            d = build_bridge_digraph(g, col, v, y_corners)
+            d = build_bridge_digraph(g, col, v, corners)
             bad = audit_out_degree(d)
             if bad:
                 raise CertificateError(
@@ -583,7 +558,7 @@ def _immerse(
                         direct.append((d.corner[i], y))
         _join_directly(g, direct, used, paths)
 
-        corners = tuple(sorted(x_corners + y_corners))
+        corners = tuple(sorted(x_corners + corners))
         if len(corners) != len(col.classes):
             raise CertificateError(
                 "merged corner count mismatch",

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from functools import cache
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, lt
@@ -44,10 +45,10 @@ from .gcpause import gc_paused
 from .graphs import Multigraph, alpha_at_most_2
 from .immersion import (
     Immersion,
+    _faithful_immersion,
+    _refine_split,
     _with_split,
     chi_alpha2,
-    faithful_immersion,
-    refine_split,
     verify_immersion,
 )
 
@@ -195,13 +196,15 @@ def gen_family(name: str, params) -> Multigraph:
         return _SIMPLE_FAMILIES[name](n)
     k, seed = args if len(args) == 2 else (args[0], 0)
     g = _faithful_instance(k, seed)
-    chi, col = chi_alpha2(g)
-    col = refine_split(g, col)
+    chi, col = chi_alpha2(g)  # optimal by construction: no second matching
+    col = _refine_split(g, col)
     if col.detached:
         raise CertificateError(
             "generated instance has a detached class", dump={"k": k, "seed": seed}
         )
-    rep = verify_immersion(g, faithful_immersion(g, col), chi, faithful_wrt=col)
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    imm = Immersion(_faithful_immersion(g, col, set(), paths), paths)
+    rep = verify_immersion(g, imm, chi, faithful_wrt=col)
     if not rep.ok:
         raise CertificateError(
             "generated instance failed its immersion check",
@@ -362,9 +365,10 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
 
     Every container must be a JSON list and every corner, pair entry, edge
     and class entry a plain integer (not ``true``/``false``); anything else
-    raises ``GraphError``.  Values are not judged here: a class or corner
-    outside the graph parses, and ``verify_immersion`` rejects it.  A present
-    ``classes`` field, even an empty one, is the faithful colouring.
+    raises ``GraphError``, and so does a pair listed twice.  Values are not
+    judged here: a class or corner outside the graph parses, and
+    ``verify_immersion`` rejects it.  A present ``classes`` field, even an
+    empty one, is the faithful colouring.
     """
     try:
         doc = json.loads(text)
@@ -393,5 +397,8 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
             "malformed certificate: corners, pairs, edges and classes must be lists of integers"
         )
     paths = dict(zip(map(tuple, pairs), map(tuple, seqs)))
+    if len(paths) < len(pairs):
+        twice = next(p for p, k in Counter(map(tuple, pairs)).items() if k > 1)
+        raise GraphError(f"malformed certificate: pair {list(twice)} has two paths")
     col = _with_split(g, list(map(tuple, classes))) if faithful else None
     return Immersion(tuple(corners), paths, faithful_to=col)

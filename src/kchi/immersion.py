@@ -20,8 +20,9 @@ prove their input optimal (``_require_optimal``) and raise ``PremiseError``
 otherwise; the constructor calls their private cores ``_refine_split`` and
 ``_faithful_immersion`` directly, on refinements and restrictions of the
 colouring of ``chi_alpha2``, so one matching serves a whole construction.
-``_faithful_immersion`` writes into the caller's paths dict and spent-edge
-set and returns only the corners.
+``_faithful_immersion`` skips detached classes (only ``faithful_immersion``
+refuses them), writes into the caller's paths dict and spent-edge set and
+returns only the corners.
 
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and
@@ -379,9 +380,14 @@ def faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
     together with each class's corner half; paths are direct edges except
     between two corner halves that are non-adjacent, which are joined by the
     length-3 route through the inner halves.  Raises ``PremiseError`` unless
-    ``col`` is an optimal colouring of its vertices.
+    ``col`` is an optimal colouring of its vertices with every pair class
+    attached; that premise is checked here, not in ``_faithful_immersion``.
     """
     _require_optimal(g, col, "faithful immersion")
+    if col.detached:
+        raise PremiseError(
+            f"pair class {col.detached[0]} has no singleton attached by exactly one edge"
+        )
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     corners = _faithful_immersion(g, col, set(), paths)
     return Immersion(corners, paths, faithful_to=col)
@@ -392,13 +398,10 @@ def _faithful_immersion(
 ) -> tuple[int, ...]:
     """``faithful_immersion`` on a colouring already known to be optimal.
 
-    The paths go into ``paths`` and their edges into ``used``, both shared
-    with the caller; the corners are returned.
+    Detached classes are skipped (the constructor immerses them a level
+    below).  The paths go into ``paths`` and their edges into ``used``, both
+    shared with the caller; the corners are returned.
     """
-    if col.detached:
-        raise PremiseError(
-            f"pair class {col.detached[0]} has no singleton attached by exactly one edge"
-        )
     labels = corner_labels(g, col)
     singles = col.singletons
     halves = [(labels[cls], col.inner(cls)) for cls in col.attached]

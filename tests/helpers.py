@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
-from kchi.decorated import RegionPartition
+from kchi.construct import (
+    assign_bridges,
+    audit_out_degree,
+    build_bridge_digraph,
+    decorated_regions,
+    restrict_out_degree,
+)
+from kchi.decorated import RegionPartition, critical_colouring
+from kchi.errors import CertificateError
 from kchi.graphs import Multigraph
-from kchi.immersion import PairColouring
+from kchi.immersion import (
+    PairColouring,
+    _as_path,
+    _bits,
+    _faithful_immersion,
+    _grouped_by_owner,
+    _join_directly,
+    _refine_split,
+    _two_paths,
+    _with_split,
+    audit_refined,
+    run_colouring_audits,
+)
 
 
 def path(k: int) -> Multigraph:
@@ -192,3 +213,84 @@ def reference_split(g: Multigraph, classes) -> tuple[dict, dict, tuple, list[str
             disputed.append(cls)
             bad.append(f"attachers of class {cls} split between {named}")
     return owner, corner, tuple(disputed), bad
+
+
+# -- the constructor's level chain with four step shapes ----------------------
+#
+# ``construct._immerse`` before the complete and no-attached levels were
+# folded into the general step: an identity level (every class a singleton)
+# joins its vertices directly and ends the chain, and a level whose
+# singletons have no attached class checks them universal and extends the
+# corners below by direct edges.  ``shapes`` counts the levels of each shape.
+
+
+def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict, shapes: Counter):
+    """The four-shape ``_immerse``: the corners, with the paths put in ``paths``."""
+    levels = []
+    while True:
+        verts = col.vertices
+        if len(col.classes) == len(verts):
+            shapes["identity"] += 1
+            _join_directly(g, combinations(verts, 2), used, paths)
+            corners = verts
+            break
+
+        bad = run_colouring_audits(g, col)
+        if bad:
+            raise CertificateError("structural audit failed on an optimal colouring")
+        if not col.singletons:
+            shapes["all pairs"] += 1
+            handed = col.classes[1:] + (col.classes[0][1:],)
+        else:
+            col = _refine_split(g, col)
+            if audit_refined(g, col):
+                raise CertificateError("counting inequality still violated after refinement")
+            if not col.attached:
+                shapes["none attached"] += 1
+                verts_mask = _bits(verts)
+                for u in col.singletons:
+                    if verts_mask & ~g.adjacency_mask(u) & ~(1 << u):
+                        raise CertificateError(
+                            "detached singleton misses a vertex", dump={"singleton": u}
+                        )
+                handed = col.pairs
+            else:
+                shapes["general"] += 1
+                handed = col.detached
+            levels.append(col)
+        col = _with_split(g, handed)
+        if len(handed) != (len(col.vertices) + 1) // 2:
+            raise CertificateError("handed-down vertex set has an unexpected class count")
+
+    for col in reversed(levels):
+        singles = col.singletons
+        if not col.attached:
+            later = ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + corners)
+            _join_directly(g, later, used, paths)
+            corners = tuple(sorted(singles + corners))
+            continue
+
+        y_corners = corners
+        x_classes = [(u,) for u in singles] + list(col.attached)
+        x_corners = _faithful_immersion(g, _with_split(g, x_classes), used, paths)
+        direct = [(a, y) for a in singles for y in y_corners]
+        for v in sorted(_grouped_by_owner(col)):
+            d = build_bridge_digraph(g, col, v, y_corners)
+            if audit_out_degree(d):
+                raise CertificateError("bridge digraph below its degree guarantee")
+            restrict_out_degree(d)
+            regions = decorated_regions(d)
+            dec = critical_colouring(d.conflict, len(d.y_corners), regions)
+            routes = assign_bridges(d, dec)
+            for i, bridged in enumerate(d.bridged):
+                for y in d.y_corners:
+                    if y in bridged:
+                        key, ids = _as_path(g, routes[(i, y)], used)
+                        if key in paths:
+                            raise _two_paths(key)
+                        paths[key] = ids
+                    else:
+                        direct.append((d.corner[i], y))
+        _join_directly(g, direct, used, paths)
+        corners = tuple(sorted(x_corners + y_corners))
+    return corners

@@ -174,6 +174,17 @@ class TestVerify:
         assert code == 2 and doc["error"]["type"] == "GraphError"
         assert doc["error"]["message"].startswith("malformed certificate: ")
 
+    def test_pair_listed_twice_is_bad_input(self, run):
+        k3 = "3 3\n0 1\n1 2\n0 2\n"
+        cert = {
+            "kind": "immersion", "t": 3, "corners": [0, 1, 2],
+            "paths": [{"pair": [0, 1], "edges": [2, 1]}, {"pair": [0, 1], "edges": [0]},
+                      {"pair": [0, 2], "edges": [2]}, {"pair": [1, 2], "edges": [1]}],
+        }
+        code, doc, _ = run("verify", ("g.txt", k3), ("cert.json", json.dumps(cert)))
+        assert code == 2 and doc["error"]["type"] == "GraphError"
+        assert "pair [0, 1]" in doc["error"]["message"]
+
     def test_pair_of_three_is_rejected_not_malformed(self, run):
         cert = self.cert_for(run, C5)
         cert["paths"][0]["pair"] = [0, 3, 4]

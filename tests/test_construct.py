@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -35,7 +36,7 @@ from kchi.immersion import (
 )
 from kchi.oracles import brute_chi
 
-from helpers import cocktail, complete, cycle, path
+from helpers import cocktail, complete, cycle, path, reference_immerse
 
 
 def random_alpha2(n, density, rng):
@@ -331,13 +332,43 @@ def test_detached_singleton_must_be_universal():
     edges = [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)]
     classes = [(0, 1), (2, 3), (4,)]
     g = Multigraph(5, edges)
-    with pytest.raises(CertificateError, match="detached singleton misses a vertex") as err:
+    with pytest.raises(CertificateError, match="required edge missing from the host graph") as err:
         _immerse(g, _with_split(g, classes), set(), {})
-    assert err.value.dump == {"singleton": 4}
+    assert err.value.dump == {"route": (4, 3), "gap": (4, 3)}
     g = Multigraph(5, edges + [(2, 4), (3, 4)])
     paths = {}
     corners = _immerse(g, _with_split(g, classes), set(), paths)
     assert verify_immersion(g, Immersion(corners, paths), 3).ok
+
+
+def _with_parallel_copies(g, rng):
+    """``g`` plus copies of random existing edges, placed among the others."""
+    edges = list(g.edges)
+    for _ in range(rng.randint(1, 2 * len(edges))):
+        edges.insert(rng.randint(0, len(edges)), rng.choice(edges))
+    return Multigraph(g.n, edges)
+
+
+def test_two_step_shapes_match_the_four_shape_reference():
+    # complete graphs, seeded hosts and the same hosts with parallel copies:
+    # folding the identity and no-attached levels into the general step
+    # leaves every certificate byte-identical
+    shapes = Counter()
+    hosts = [complete(k) for k in range(9)]
+    for i in range(1400):
+        rng = random.Random(700_001 + i)
+        g = gen_alpha2(rng.randint(1, 40), rng.random(), 700_001 + i)
+        hosts.append(g)
+        if i % 2 and g.m:
+            hosts.append(_with_parallel_copies(g, rng))
+    for g in hosts:
+        chi, col = chi_alpha2(g)
+        paths = {}
+        corners = reference_immerse(g, col, set(), paths, shapes)
+        assert emit_certificate(construct_immersion(g)) == emit_certificate(
+            Immersion(corners, paths)
+        )
+    assert len(hosts) >= 2000 and shapes["none attached"] >= 200, shapes
 
 
 def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):

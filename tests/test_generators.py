@@ -115,6 +115,20 @@ class TestFamilies:
     def test_faithful_accepts_bare_size(self):
         assert gen_family("faithful", 3).edges == gen_family("faithful", (3, 0)).edges
 
+    def test_faithful_runs_one_blossom_matching(self, monkeypatch):
+        import kchi.immersion
+
+        calls = []
+        real = kchi.immersion.maximum_matching
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(kchi.immersion, "maximum_matching", counted)
+        g = gen_family("faithful", (4, 3))
+        assert calls == [g.n]
+
 
 class TestEdgeListFormat:
     def test_parse_k3(self):
@@ -222,6 +236,20 @@ class TestCertificateJson:
         assert (-1, g.n + 5) in back.faithful_to.detached
         assert (g.n + 9,) in back.faithful_to.classes
         assert back.faithful_to.attached == col.attached
+
+    def test_pair_listed_twice_is_malformed(self):
+        # the first path of (0, 1) spends edges 2 and 1, which the paths of
+        # (0, 2) and (1, 2) use again; keeping only the last would hide that
+        g = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+        doc = {
+            "kind": "immersion", "t": 3, "corners": [0, 1, 2],
+            "paths": [{"pair": [0, 1], "edges": [2, 1]}, {"pair": [0, 1], "edges": [0]},
+                      {"pair": [0, 2], "edges": [2]}, {"pair": [1, 2], "edges": [1]}],
+        }
+        with pytest.raises(GraphError, match=r"pair \[0, 1\] has two paths"):
+            parse_certificate(g, json.dumps(doc))
+        del doc["paths"][0]
+        assert verify_immersion(g, parse_certificate(g, json.dumps(doc)), 3).ok
 
     def test_bad_json_and_bad_fields(self):
         g = cycle(5)
