@@ -72,6 +72,15 @@ for host in empty single unattached; do
 done
 
 echo
+echo '# a doubled faithful host (n = 9, m = 50): every pair has parallel copies,'
+echo '# and three corner pairs are joined by length-3 routes through inner halves'
+kchi gen doubled faithful 4 2 | tee "$workdir/faithful.json" \
+    | kchi immerse - > "$workdir/faithful-cert.json"
+kchi verify "$workdir/faithful.json" "$workdir/faithful-cert.json" > /dev/null
+python3 -c "import json,sys; print('length-3 paths', sum(len(p['edges']) == 3 for p in json.load(open(sys.argv[1]))['paths']), 'verified')" \
+    "$workdir/faithful-cert.json"
+
+echo
 echo '# a host with an independent triple: the 6-cycle immerses K3 on 0, 2, 4;'
 echo '# with no chi to check against, t comes from the certificate itself'
 printf '6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n' > "$workdir/c6.txt"
@@ -124,6 +133,17 @@ fi
 echo "rejected as expected (exit $status)"
 
 echo
+echo '# a certificate whose corner 7 lies outside K3 is rejected with exit code 1'
+printf '3 3\n0 1\n1 2\n0 2\n' > "$workdir/k3.txt"
+echo '{"kind": "immersion", "t": 3, "corners": [0, 1, 7], "paths": []}' > "$workdir/k3-corner7.json"
+status=0
+kchi verify "$workdir/k3.txt" "$workdir/k3-corner7.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "BUG: a corner outside the graph gave exit $status, not 1"; exit 1
+fi
+echo "corner outside the graph: rejected (exit $status)"
+
+echo
 echo '# a malformed certificate is bad input, exit code 2 (never 3, a fault):'
 echo '# a string edge, and a classes field that is no list'
 python3 - "$workdir/cert.json" "$workdir" <<'EOF'
@@ -148,7 +168,6 @@ done
 echo
 echo '# a certificate that lists a pair twice is bad input, exit code 2: the'
 echo '# first path of (0, 1) spends edges 2 and 1, which the other paths reuse'
-printf '3 3\n0 1\n1 2\n0 2\n' > "$workdir/k3.txt"
 cat > "$workdir/k3-twice.json" <<'EOF'
 {"kind": "immersion", "t": 3, "corners": [0, 1, 2],
  "paths": [{"pair": [0, 1], "edges": [2, 1]}, {"pair": [0, 1], "edges": [0]},

@@ -4,8 +4,9 @@ All commands put one JSON document on stdout and a short human log on
 stderr.  Exit code 0 means every verification in the run passed; 1 means a
 certificate or colouring was rejected; 2 means the input or the premise was
 bad, with a machine-readable ``{"error": ...}`` document on stdout; 3 means
-an internal fault (any other exception), reported by the same kind of
-document, with the traceback in the log.  A fault is never reported as 1.
+an internal fault (a ``CertificateError``, whose dump the document carries,
+or any other exception), reported by the same kind of document, with the
+traceback in the log.  A fault is never reported as 1 or 2.
 
 ``immerse`` and ``stress`` take their verdict from ``construct_immersion``,
 which replays every certificate it returns through ``verify_immersion``
@@ -365,8 +366,9 @@ def main(argv=None) -> int:
         if dump:
             doc["error"]["dump"] = dump
         _print_json(doc)
-        log.error("%s", exc)
-        return 2
+        fault = isinstance(exc, CertificateError)  # a broken internal contract
+        log.error("%s", exc, exc_info=fault)
+        return 3 if fault else 2
     except Exception as exc:  # a fault in kchi itself, not a verdict on the input
         _print_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         log.exception("internal fault")

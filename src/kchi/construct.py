@@ -41,10 +41,10 @@ replay it themselves.
 
 Each path is stored once.  Every level writes into one paths dict and one
 set of spent edge identities, the faithful side included, and only the
-corners are handed between levels.  Corner pairs joined by a single edge go
-through one direct-edge lane (``immersion._join_directly``, shared with the
-faithful side), and only longer routes are realized edge by edge with
-``_as_path``.
+corners are handed between levels.  One lane (``immersion._lay_paths``)
+lays every path, the faithful side's included: it takes vertex routes, two
+vertices for a direct edge and four or five for a length-3 route or a
+bridge, and each hop spends its pair's lowest unused edge.
 """
 
 from __future__ import annotations
@@ -65,13 +65,11 @@ from .graphs import Multigraph, components_of, iter_bits
 from .immersion import (
     Immersion,
     PairColouring,
-    _as_path,
     _bits,
     _faithful_immersion,
     _grouped_by_owner,
-    _join_directly,
+    _lay_paths,
     _refine_split,
-    _two_paths,
     _with_split,
     audit_refined,
     chi_alpha2,
@@ -525,8 +523,9 @@ def _immerse(
         # the singletons and attached classes get a faithful immersion
         x_corners = _faithful_immersion(g, col, used, paths)
 
-        # every (singleton, far corner) and unbridged (class corner, far corner)
-        # pair is one edge; these pairs share no vertex pair with a bridge
+        # (singleton, far corner) pairs are one edge, (class corner, far corner)
+        # pairs one edge or a bridge; every bridge hop has a non-corner end, so
+        # no copy depends on the order in which the lane lays them
         direct = [(a, y) for a in col.singletons for y in corners]
         for v in sorted(_grouped_by_owner(col)):
             d = build_bridge_digraph(g, col, v, corners)
@@ -549,14 +548,8 @@ def _immerse(
             routes = assign_bridges(d, dec)
             for i, bridged in enumerate(d.bridged):
                 for y in d.y_corners:
-                    if y in bridged:
-                        key, ids = _as_path(g, routes[(i, y)], used)
-                        if key in paths:
-                            raise _two_paths(key)
-                        paths[key] = ids
-                    else:
-                        direct.append((d.corner[i], y))
-        _join_directly(g, direct, used, paths)
+                    direct.append(routes[(i, y)] if y in bridged else (d.corner[i], y))
+        _lay_paths(g, direct, used, paths)
 
         corners = tuple(sorted(x_corners + corners))
         if len(corners) != len(col.classes):

@@ -359,17 +359,17 @@ def _solver_for(g: Multigraph) -> _FactorSolver:
 def _edge_handout(g: Multigraph, solver: _FactorSolver) -> Callable[[int, int], int]:
     """``take(u, v)``: remove one live copy of u-v from ``solver``, return its edge id.
 
-    Parallel edges are handed out lowest identity first, across every step
-    of the induction that shares this handout.
+    Each take spends the pair's lowest unused copy (``Multigraph.free_edge``),
+    across every step of the induction that shares this handout.
     """
-    taken: dict[tuple[int, int], int] = {}
+    used: set[int] = set()
+    free_edge = g.free_edge
 
     def take(u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = taken.get(key, 0)
-        taken[key] = idx + 1
         solver.remove_copy(u, v)
-        return g.edge_ids_between(u, v)[idx]
+        e = free_edge((u, v) if u < v else (v, u), used)
+        used.add(e)
+        return e
 
     return take
 

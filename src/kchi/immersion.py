@@ -21,8 +21,9 @@ otherwise; the constructor calls their private cores ``_refine_split`` and
 ``_faithful_immersion`` directly, on refinements and restrictions of the
 colouring of ``chi_alpha2``, so one matching serves a whole construction.
 ``_faithful_immersion`` skips detached classes (only ``faithful_immersion``
-refuses them), writes into the caller's paths dict and spent-edge set and
-returns only the corners.
+refuses them), lays its paths into the caller's paths dict and spent-edge
+set through ``_lay_paths``, the constructor's one path lane, and returns
+only the corners.
 
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and
@@ -245,57 +246,48 @@ def corner_labels(g: Multigraph, col: PairColouring) -> dict[tuple[int, int], in
     return col.corner
 
 
-def _no_free_edge(g: Multigraph, u: int, w: int) -> CertificateError:
+def _hop_fault(g: Multigraph, route: tuple[int, ...], u: int, w: int) -> CertificateError:
+    """Why the hop u-w of ``route`` has no edge left to take."""
+    if g.has_edge(u, w):
+        return CertificateError(
+            "no unused edge left between path vertices",
+            dump={"pair": (u, w), "copies": g.multiplicity(u, w)},
+        )
     return CertificateError(
-        "no unused edge left between path vertices",
-        dump={"pair": (u, w), "copies": g.multiplicity(u, w)},
+        "required edge missing from the host graph", dump={"route": route, "gap": (u, w)}
     )
 
 
-def _missing_edge(route: tuple[int, ...], gap: tuple[int, int]) -> CertificateError:
-    return CertificateError(
-        "required edge missing from the host graph", dump={"route": route, "gap": gap}
-    )
+def _lay_paths(g: Multigraph, routes, used: set[int], paths: dict) -> None:
+    """The path lane: lay each vertex route as a path of lowest unused edges.
 
-
-def _two_paths(key: tuple[int, int]) -> CertificateError:
-    return CertificateError("two paths for one corner pair", dump={"pair": key})
-
-
-def _join_directly(g: Multigraph, pairs, used: set[int], paths: dict) -> None:
-    """The direct-edge lane: join each vertex pair by its lowest unused edge.
-
-    Each path is stored under its sorted pair as a one-edge tuple.  A pair
-    that already has a path, has no edge at all, or has every copy spent
-    is a broken contract.
+    A route is two vertices for a direct edge, or more for a longer walk;
+    each hop takes its pair's lowest edge identity not in ``used``.  The
+    path is stored under the route's sorted end pair and walks from the
+    lower end.  A second path for an end pair, a hop with no edge and a hop
+    whose copies are all spent are broken contracts.
     """
     free_edge = g.free_edge
-    for u, w in pairs:
-        key = (u, w) if u < w else (w, u)
+    for route in routes:
+        a, b = route[0], route[-1]
+        key = (a, b) if a < b else (b, a)
         if key in paths:
-            raise _two_paths(key)
-        e = free_edge(key, used)
-        if e is None:
-            raise _no_free_edge(g, u, w) if g.has_edge(u, w) else _missing_edge((u, w), (u, w))
-        used.add(e)
-        paths[key] = (e,)
-
-
-def _take_edge(g: Multigraph, u: int, w: int, used: set[int]) -> int:
-    """Reserve one untouched edge identity between u and w."""
-    e = g.free_edge((u, w) if u < w else (w, u), used)
-    if e is None:
-        raise _no_free_edge(g, u, w)
-    used.add(e)
-    return e
-
-
-def _as_path(g: Multigraph, route: tuple[int, ...], used: set[int]) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """Realize a vertex route as (sorted endpoint pair, edge-id sequence)."""
-    ids = tuple(_take_edge(g, route[t], route[t + 1], used) for t in range(len(route) - 1))
-    if route[0] > route[-1]:
-        return (route[-1], route[0]), ids[::-1]
-    return (route[0], route[-1]), ids
+            raise CertificateError("two paths for one corner pair", dump={"pair": key})
+        if len(route) == 2:  # nearly every path: one bisect, no hop list
+            e = free_edge(key, used)
+            if e is None:
+                raise _hop_fault(g, route, a, b)
+            used.add(e)
+            paths[key] = (e,)
+            continue
+        ids = []
+        for u, w in zip(route, route[1:]):
+            e = free_edge((u, w) if u < w else (w, u), used)
+            if e is None:
+                raise _hop_fault(g, route, u, w)
+            used.add(e)
+            ids.append(e)
+        paths[key] = tuple(ids) if a < b else tuple(reversed(ids))
 
 
 # -- the split refinement ---------------------------------------------------
@@ -413,15 +405,7 @@ def _faithful_immersion(
             direct.append((ca, cb))
         else:  # non-adjacent corners walk through the two inner halves
             routes.append((ca, ib, ia, cb))
-    _join_directly(g, direct, used, paths)
-    for route in routes:
-        for t in range(3):
-            if not g.has_edge(route[t], route[t + 1]):
-                raise _missing_edge(route, (route[t], route[t + 1]))
-        key, ids = _as_path(g, route, used)
-        if key in paths:
-            raise _two_paths(key)
-        paths[key] = ids
+    _lay_paths(g, direct + routes, used, paths)
     return corners
 
 

@@ -18,13 +18,11 @@ from kchi.errors import CertificateError
 from kchi.graphs import Multigraph
 from kchi.immersion import (
     PairColouring,
-    _as_path,
     _bits,
     _faithful_immersion,
     _grouped_by_owner,
-    _join_directly,
+    _lay_paths,
     _refine_split,
-    _two_paths,
     _with_split,
     audit_refined,
     run_colouring_audits,
@@ -231,7 +229,7 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
         verts = col.vertices
         if len(col.classes) == len(verts):
             shapes["identity"] += 1
-            _join_directly(g, combinations(verts, 2), used, paths)
+            _lay_paths(g, combinations(verts, 2), used, paths)
             corners = verts
             break
 
@@ -266,7 +264,7 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
         singles = col.singletons
         if not col.attached:
             later = ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + corners)
-            _join_directly(g, later, used, paths)
+            _lay_paths(g, later, used, paths)
             corners = tuple(sorted(singles + corners))
             continue
 
@@ -284,13 +282,10 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
             routes = assign_bridges(d, dec)
             for i, bridged in enumerate(d.bridged):
                 for y in d.y_corners:
-                    if y in bridged:
-                        key, ids = _as_path(g, routes[(i, y)], used)
-                        if key in paths:
-                            raise _two_paths(key)
-                        paths[key] = ids
+                    if y in bridged:  # each bridge before the level's direct pairs
+                        _lay_paths(g, [routes[(i, y)]], used, paths)
                     else:
                         direct.append((d.corner[i], y))
-        _join_directly(g, direct, used, paths)
+        _lay_paths(g, direct, used, paths)
         corners = tuple(sorted(x_corners + y_corners))
     return corners

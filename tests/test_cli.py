@@ -121,6 +121,11 @@ class TestVerify:
         assert doc["first_violation"] == doc["failures"][0]
         assert "stops at" in doc["first_violation"]
 
+    def test_corner_outside_the_graph_is_rejected(self, run):
+        cert = {"kind": "immersion", "t": 3, "corners": [0, 1, 7], "paths": []}
+        code, doc, _ = run("verify", ("k3.txt", "3 3\n0 1\n1 2\n0 2\n"), ("cert.json", json.dumps(cert)))
+        assert code == 1 and "corner outside the graph" in doc["failures"]
+
     def test_falls_back_to_certificate_t(self, run):
         cert = {"kind": "immersion", "t": 1, "corners": [0], "paths": []}
         code, doc, _ = run("verify", ("g.txt", C7), ("cert.json", json.dumps(cert)))
@@ -341,6 +346,24 @@ class TestErrorDiscipline:
         assert code == 3
         assert doc == {"error": {"type": "RuntimeError", "message": "simulated fault"}}
         assert "Traceback" in err
+
+    def test_constructor_fault_exits_3_with_its_dump(self, run, monkeypatch):
+        import kchi.cli
+        from kchi.errors import CertificateError
+
+        def broken(g):
+            raise CertificateError("simulated", dump={"k": 1})
+
+        monkeypatch.setattr(kchi.cli, "construct_immersion", broken)
+        code, doc, err = run("immerse", ("c5.txt", C5))
+        assert code == 3
+        assert doc == {"error": {"type": "CertificateError", "message": "simulated", "dump": {"k": 1}}}
+        assert "Traceback" in err
+
+        # a stress campaign records the same fault as a failed case instead
+        code, doc, _ = run("stress", "--n", "6", "--count", "2", "--seed", "0")
+        assert code == 1 and doc["verified"] == "0/2"
+        assert doc["failures"][0]["failures"] == ["CertificateError: simulated"]
 
     @pytest.mark.parametrize(
         "text",

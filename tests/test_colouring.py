@@ -147,6 +147,18 @@ def test_validate_rejects_missing_edge():
     assert not report.ok and "uncoloured" in report.failures[0]
 
 
+@pytest.mark.parametrize(
+    "colour_of, failure",
+    [
+        ({0: 0, 1: 0, 5: 0}, "unknown edge identity 5"),
+        ({0: 0, 1: 3}, "edge 1 has colour 3 outside the palette"),
+    ],
+)
+def test_validate_rejects_unknown_edges_and_colours(colour_of, failure):
+    report = validate_cm_colouring(path(3), CycleMatchingColouring(colour_of, palette=1))
+    assert failure in report.failures
+
+
 def test_brute_examples():
     assert brute_force_chi_prime_r(star(4), 2) == 4
     assert brute_force_chi_prime_r(complete(3), 2) == 1

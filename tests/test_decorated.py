@@ -380,6 +380,58 @@ class TestValidateDecorated:
         assert any("assigned nowhere" in f for f in report.failures)
 
 
+class TestValidatorClauses:
+    """One input per clause of ``validate_decorated``, each naming its failure."""
+
+    # C5 with colour 0 blocked at vertex 2: the cherry 0-1-2 of colour 0 is a
+    # relief pair (middle 1 free, end 0 free, end 2 blocked), edge 3-4 has
+    # colour 0 and edges 2-3 and 4-0 colour 1
+    RELIEF = DecoratedColouring({}, {0: 0, 1: 0}, {3: 0, 2: 1, 4: 1}, {0: frozenset(), 1: frozenset({1})})
+
+    @staticmethod
+    def c5_regions(free_1=(0, 1, 2), free_2=(1, 2)):
+        free = [{0, 1, 2}, set(free_1), set(free_2), {0, 1, 2}, {0, 1, 2}]
+        return RegionPartition.from_sets(3, free, [set()] * 5, [{0, 1, 2} - f for f in free])
+
+    def test_relief_cherry_accepted(self):
+        report = validate_decorated(cycle(5), self.c5_regions(), self.RELIEF)
+        assert report.ok, report.failures
+
+    @pytest.mark.parametrize(
+        "relief, colour_of, free_1, free_2, failure",
+        [
+            ({0: 5, 1: 5}, {3: 0, 2: 1, 4: 1}, (0, 1, 2), (1, 2), "β colour 5 outside the palette"),
+            ({0: 0, 1: 0, 2: 0}, {3: 1, 4: 2}, (0, 1, 2), (1, 2),
+             "β colour 0: component (0, 1, 2, 3) is not a length-2 path"),
+            ({0: 0, 1: 0}, {3: 0, 2: 1, 4: 1}, (1, 2), (1, 2), "β colour 0: middle vertex 1 lacks it as free"),
+            ({0: 0, 1: 0}, {3: 0, 2: 1, 4: 1}, (0, 1, 2), (0, 1, 2),
+             "β colour 0: endpoints [0, 2] lack the free/blocked pattern"),
+            ({0: 0, 1: 0}, {2: 0, 3: 1, 4: 2}, (0, 1, 2), (1, 2), "β vertex 2 not isolated in colour class 0"),
+        ],
+    )
+    def test_relief_cherry_rejected(self, relief, colour_of, free_1, free_2, failure):
+        dec = DecoratedColouring({}, relief, colour_of, self.RELIEF.uncovered_at)
+        report = validate_decorated(cycle(5), self.c5_regions(free_1, free_2), dec)
+        assert failure in report.failures
+
+    @pytest.mark.parametrize(
+        "reserved, colour_of, failure",
+        [
+            ({0: (0, 0), 1: (0, 0)}, {2: 0}, "α not injective: tag (0, 0) repeated"),
+            ({0: (2, 0)}, {1: 1, 2: 0}, "α tag vertex 2 is not an endpoint of edge 0"),
+            ({0: (0, 7)}, {1: 1, 2: 0}, "α colour 7 outside the palette"),
+            ({0: (0, 0)}, {0: 1, 1: 1, 2: 0}, "reserved/relief/coloured edge sets overlap"),
+            ({0: (0, 0)}, {1: 1, 2: 0, 9: 0}, "coloured refers to unknown edges [9]"),
+            ({}, {0: 0, 1: 0, 2: 0}, "odd cycle of colour 0 visits vertex 0 without it free"),
+        ],
+    )
+    def test_alpha_edge_set_and_cycle_clauses(self, reserved, colour_of, failure):
+        # K3 whose vertex 0 holds colour 0 in reserve, not free
+        reg = RegionPartition.from_sets(2, [{1}, {0, 1}, {0, 1}], [{0}, set(), set()], [set()] * 3)
+        report = validate_decorated(complete(3), reg, DecoratedColouring(reserved, {}, colour_of, {}))
+        assert failure in report.failures
+
+
 class TestStepAudit:
     """Tampered decorations: every per-step failure string, in its order."""
 

@@ -130,6 +130,42 @@ def test_subgraph_doubled_p3():
     assert check_factor_properties(g, h, pair) == []
 
 
+def _star_and_triangle():
+    """Doubled K_{1,3} on 0..3 beside a doubled triangle on 4..6, with the
+    (H, S, T) that ``max_f_bounded_subgraph`` returns for it."""
+    g = Multigraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)]).doubled()
+    h, pair = max_f_bounded_subgraph(g)
+    assert h == FactorSubgraph((TwoCycle(0, 1, (0, 1)),), ((6, 8, 10),))
+    assert pair == DeficiencyPair(frozenset({0}), frozenset({1, 2, 3}), 4)
+    assert check_factor_properties(g, h, pair) == []
+    return g, h, pair
+
+
+@pytest.mark.parametrize(
+    "two_cycles, odd_cycles, s, t, value, failure",
+    [
+        # 1. edges 6 and 7 are parallel, so (6, 7, 8) closes no walk
+        (((0, 1, (0, 1)),), ((6, 7, 8),), {0}, {1, 2, 3}, 4,
+         "cycle (6, 7, 8) does not trace a simple closed walk"),
+        # 2. the value is not 2|T| - 2|S|
+        (((0, 1, (0, 1)),), ((6, 8, 10),), {0}, {1, 2, 3}, 2, "value 2 ≠ 2|T| - 2|S| = 4"),
+        # 3. T's neighbour 0 is left out of S
+        (((0, 1, (0, 1)),), ((6, 8, 10),), set(), {1, 2, 3}, 6, "N(T) ⊄ S: neighbour 0 of 1"),
+        # 4. with no 2-cycle, S's vertex 0 is isolated in H
+        ((), ((6, 8, 10),), {0}, {1, 2, 3}, 4, "isolated vertices outside T: [0]"),
+        # 5. T = {1} alone: S = {0} sees only one vertex of T
+        (((0, 1, (0, 1)),), ((6, 8, 10),), {0}, {1}, 0, "no strict expansion: X = [0], |N(X) ∩ T| = 1"),
+        # 6. two 2-cycles give the maximum-degree vertex 0 degree 4
+        (((0, 1, (0, 1)), (0, 2, (2, 3))), ((6, 8, 10),), {0}, {1, 2, 3}, 4,
+         "maximum-degree vertex 0 has H-degree 4"),
+    ],
+)
+def test_check_factor_properties_names_each_broken_property(two_cycles, odd_cycles, s, t, value, failure):
+    g, _, _ = _star_and_triangle()
+    h = FactorSubgraph(tuple(TwoCycle(*tc) for tc in two_cycles), odd_cycles)
+    assert failure in check_factor_properties(g, h, DeficiencyPair(frozenset(s), frozenset(t), value))
+
+
 def test_strict_expansion_checked_beyond_twenty_s_vertices():
     # S = 0..20 matched one-to-one to T = 21..41 by 2-cycles: every property
     # holds except strict expansion, since |N({x}) ∩ T| = 1 for each x ∈ S.

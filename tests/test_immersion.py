@@ -14,6 +14,7 @@ from kchi.immersion import (
     _count_gap,
     _faithful_immersion,
     _grouped_by_owner,
+    _lay_paths,
     _with_split,
     audit_double_nonedge,
     audit_inner_adjacency,
@@ -341,6 +342,44 @@ def c5_immersion():
     g = cycle(5)
     _, col = chi_alpha2(g)
     return g, col, faithful_immersion(g, col)
+
+
+class TestPathLane:
+    """``_lay_paths``: every constructor path, one lowest unused copy per hop."""
+
+    def test_route_from_its_higher_end_is_stored_reversed(self):
+        g = path(4)
+        used, paths = set(), {}
+        _lay_paths(g, [(3, 2, 1, 0)], used, paths)
+        assert paths == {(0, 3): (0, 1, 2)} and used == {0, 1, 2}
+
+    def test_each_hop_takes_its_lowest_unused_copy(self):
+        # copies of 0-1 are 0, 2, 4 and of 1-2 are 1, 3; copy 0 is spent
+        g = Multigraph(3, [(0, 1), (1, 2), (0, 1), (1, 2), (0, 1)])
+        used, paths = {0}, {}
+        _lay_paths(g, [(1, 0), (0, 1, 2), (2, 1)], used, paths)
+        assert paths == {(0, 1): (2,), (0, 2): (4, 1), (1, 2): (3,)}
+        assert used == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "routes, used, message, dump",
+        [
+            ([(0, 1), (1, 0)], set(), "two paths for one corner pair", {"pair": (0, 1)}),
+            ([(0, 1, 2), (2, 0)], set(), "two paths for one corner pair", {"pair": (0, 2)}),
+            ([(3, 0)], set(), "required edge missing from the host graph",
+             {"route": (3, 0), "gap": (3, 0)}),
+            ([(0, 2, 3)], set(), "required edge missing from the host graph",
+             {"route": (0, 2, 3), "gap": (0, 2)}),
+            ([(1, 0)], {0}, "no unused edge left between path vertices",
+             {"pair": (1, 0), "copies": 1}),
+            ([(0, 1, 2)], {1}, "no unused edge left between path vertices",
+             {"pair": (1, 2), "copies": 1}),
+        ],
+    )
+    def test_refusals(self, routes, used, message, dump):
+        with pytest.raises(CertificateError, match=message) as err:
+            _lay_paths(path(4), routes, used, {})
+        assert err.value.dump == dump
 
 
 class TestVerifyImmersion:
