@@ -33,6 +33,27 @@ echo '# the verifier replays the certificate independently'
 kchi verify "$workdir/g.json" "$workdir/cert.json"
 
 echo
+echo '# a corner pair with no listed path is joined by its lowest-id edge, so'
+echo '# the same certificate with every pair written out verifies too (older'
+echo '# certificates list every path)'
+python3 - "$workdir/g.json" "$workdir/cert.json" "$workdir/cert-full.json" <<'EOF'
+import json, sys
+from itertools import combinations
+graph, doc = json.load(open(sys.argv[1])), json.load(open(sys.argv[2]))
+lowest = {}
+for e, (u, v) in enumerate(graph["edges"]):
+    lowest.setdefault((min(u, v), max(u, v)), e)
+listed = {tuple(p["pair"]) for p in doc["paths"]}
+doc["paths"] += [{"pair": list(pair), "edges": [lowest[pair]]}
+                 for pair in combinations(doc["corners"], 2) if pair not in listed]
+doc["paths"].sort(key=lambda p: p["pair"])
+print("listed", len(listed), "of", len(doc["paths"]), "paths")
+json.dump(doc, open(sys.argv[3], "w"))
+EOF
+kchi verify "$workdir/g.json" "$workdir/cert-full.json" > /dev/null
+echo "every pair written out: verified"
+
+echo
 echo '# a benchmark-sized graph: several singletons own attached classes, so the'
 echo '# bridge stage runs once per owner; the round trip must verify'
 kchi gen --n 300 --density 0.6 --seed 11 > "$workdir/g300.json"
@@ -121,8 +142,11 @@ echo '# a tampered certificate is rejected with exit code 1'
 python3 - "$workdir/cert.json" "$workdir/bad.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-longest = max(doc["paths"], key=lambda p: len(p["edges"]))
-longest["edges"] = longest["edges"][:-1]
+if doc["paths"]:  # cut the longest listed path short
+    longest = max(doc["paths"], key=lambda p: len(p["edges"]))
+    longest["edges"] = longest["edges"][:-1]
+else:  # every path is implicit: drop a corner
+    doc["corners"].pop()
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
 status=0
@@ -144,15 +168,47 @@ fi
 echo "corner outside the graph: rejected (exit $status)"
 
 echo
+echo '# K3 with no listed path: each corner pair takes its one edge, exit 0'
+echo '{"kind": "immersion", "t": 3, "corners": [0, 1, 2], "paths": []}' > "$workdir/k3-implicit.json"
+kchi verify "$workdir/k3.txt" "$workdir/k3-implicit.json" > /dev/null
+echo "every path implicit: verified"
+
+echo
+echo '# an implicit pair needs an edge: corners 0 and 2 of the path 0-1-2 have'
+echo '# none, exit 1'
+printf '3 2\n0 1\n1 2\n' > "$workdir/p3.txt"
+echo '{"kind": "immersion", "t": 2, "corners": [0, 2], "paths": []}' > "$workdir/p3-cert.json"
+status=0
+kchi verify "$workdir/p3.txt" "$workdir/p3-cert.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "BUG: an implicit pair with no edge gave exit $status, not 1"; exit 1
+fi
+echo "implicit pair with no edge: rejected (exit $status)"
+
+echo
+echo '# a listed path may not take the edge of an implicit pair: the path 0-2-1'
+echo '# of (0, 1) spends edges 2 and 1, the implicit paths of (0, 2) and (1, 2),'
+echo '# exit 1'
+cat > "$workdir/k3-reuse.json" <<'EOF'
+{"kind": "immersion", "t": 3, "corners": [0, 1, 2],
+ "paths": [{"pair": [0, 1], "edges": [2, 1]}]}
+EOF
+status=0
+kchi verify "$workdir/k3.txt" "$workdir/k3-reuse.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "BUG: a listed path on an implicit edge gave exit $status, not 1"; exit 1
+fi
+echo "listed path on an implicit edge: rejected (exit $status)"
+
+echo
 echo '# a malformed certificate is bad input, exit code 2 (never 3, a fault):'
 echo '# a string edge, and a classes field that is no list'
 python3 - "$workdir/cert.json" "$workdir" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-edges = doc["paths"][0]["edges"]
-doc["paths"][0]["edges"] = ["a"]
+doc["paths"].append({"pair": doc["corners"][:2], "edges": ["a"]})
 json.dump(doc, open(sys.argv[2] + "/malformed-edge.json", "w"))
-doc["paths"][0]["edges"] = edges
+doc["paths"].pop()
 doc["classes"] = 5
 json.dump(doc, open(sys.argv[2] + "/malformed-classes.json", "w"))
 EOF

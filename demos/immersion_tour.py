@@ -26,6 +26,8 @@ def show(g: Multigraph, name: str) -> None:
     for pair, ids in sorted(imm.paths.items()):
         walk = " → ".join(str(v) for v in vertices_of(g, pair, ids))
         print(f"  path {pair}: edges {list(ids)}  ({walk})")
+    # a corner pair the certificate does not list is joined by its lowest-id edge
+    print(f"  the certificate lists {len(imm.listed)} of these {len(imm.paths)} paths")
     report = verify_immersion(g, imm, chi)
     assert report.ok
     print("  verifier: accepted\n")

@@ -11,8 +11,9 @@ traceback in the log.  A fault is never reported as 1 or 2.
 ``immerse`` and ``stress`` take their verdict from ``construct_immersion``,
 which replays every certificate it returns through ``verify_immersion``
 against χ and raises ``CertificateError`` otherwise; they do not replay it
-again.  ``verify`` replays a certificate read from a file, independently of
-the constructor.
+again.  ``stress`` records a failed case with its edge list and the fault's
+dump, when it has one.  ``verify`` replays a certificate read from a file,
+independently of the constructor.
 """
 
 from __future__ import annotations
@@ -132,7 +133,9 @@ def _cmd_immerse(args) -> int:
     doc["chi"] = t
     doc["verdict"] = _verdict(ValidityReport.from_failures([]))
     _print_json(doc)
-    log.info("verified K%d certificate (%d paths)", t, len(imm.paths))
+    listed = len(imm.listed)
+    implicit = t * (t - 1) // 2 - listed
+    log.info("verified K%d certificate (%d paths listed, %d implicit)", t, listed, implicit)
     return 0
 
 
@@ -217,7 +220,11 @@ def _stress_case(task: tuple[int, int, int, float | None]):
         construct_immersion(g)  # replayed against χ inside, or raised
     except _DOMAIN_ERRORS as exc:
         failures = [f"{type(exc).__name__}: {exc}"]
-        return i, {"case": i, "n": g.n, "edge_list": emit_edge_list(g), "failures": failures}
+        record = {"case": i, "n": g.n, "edge_list": emit_edge_list(g), "failures": failures}
+        dump = getattr(exc, "dump", None)
+        if dump:
+            record["dump"] = dump
+        return i, record
     return i, None
 
 

@@ -39,12 +39,14 @@ them again.  The final immersion is replayed once, through
 ``verify_immersion`` against χ, before being returned, so callers need not
 replay it themselves.
 
-Each path is stored once.  Every level writes into one paths dict and one
-set of spent edge identities, the faithful side included, and only the
-corners are handed between levels.  One lane (``immersion._lay_paths``)
-lays every path, the faithful side's included: it takes vertex routes, two
-vertices for a direct edge and four or five for a length-3 route or a
-bridge, and each hop spends its pair's lowest unused edge.
+Each path is stored once.  Every level writes into one paths dict, one set
+of implicit pairs and one set of spent edge identities, the faithful side
+included, and only the corners are handed between levels.  One lane
+(``immersion._lay_paths``) lays every path, the faithful side's included: it
+takes vertex routes, two vertices for a direct edge and four or five for a
+length-3 route or a bridge, and each hop spends its pair's lowest unused
+edge.  A direct edge that is its pair's lowest copy of all is left implicit,
+as the certificate leaves it; the paths dict holds the rest.
 """
 
 from __future__ import annotations
@@ -466,7 +468,7 @@ def construct_immersion(g: Multigraph) -> Immersion:
             "corner count differs from the chromatic number",
             dump={"corners": corners, "chi": chi},
         )
-    imm = Immersion(corners, paths)
+    imm = Immersion(corners, paths, host=g)
     report = verify_immersion(g, imm, chi)
     if not report.ok:
         raise CertificateError(
@@ -486,6 +488,7 @@ def _immerse(
     level drops a vertex, or joins its faithful side to its detached rest.
     """
     levels = []  # the refined colourings of levels with singletons, top first
+    implicit: set[tuple[int, int]] = set()  # the pairs laid as their lowest copy
     while col.vertices:
         bad = run_colouring_audits(g, col)
         if bad:
@@ -521,7 +524,7 @@ def _immerse(
     corners: tuple[int, ...] = ()  # the levels below: this level's far corners
     for col in reversed(levels):
         # the singletons and attached classes get a faithful immersion
-        x_corners = _faithful_immersion(g, col, used, paths)
+        x_corners = _faithful_immersion(g, col, used, paths, implicit)
 
         # (singleton, far corner) pairs are one edge, (class corner, far corner)
         # pairs one edge or a bridge; every bridge hop has a non-corner end, so
@@ -549,7 +552,7 @@ def _immerse(
             for i, bridged in enumerate(d.bridged):
                 for y in d.y_corners:
                     direct.append(routes[(i, y)] if y in bridged else (d.corner[i], y))
-        _lay_paths(g, direct, used, paths)
+        _lay_paths(g, direct, used, paths, implicit)
 
         corners = tuple(sorted(x_corners + corners))
         if len(corners) != len(col.classes):

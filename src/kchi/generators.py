@@ -22,8 +22,11 @@ Certificate JSON: an immersion certificate serializes as an object with
 * ``"kind"``: the string ``"immersion"``;
 * ``"t"``: number of corners;
 * ``"corners"``: sorted corner vertices;
-* ``"paths"``: a list of ``{"pair": [u, w], "edges": [...]}`` objects, one
-  per corner pair, edges given by identity in walk order from ``u`` to ``w``;
+* ``"paths"``: a list of ``{"pair": [u, w], "edges": [...]}`` objects, at
+  most one per corner pair, edges given by identity in walk order from ``u``
+  to ``w``.  A corner pair with no listed path is joined by its lowest-id
+  edge, so the constructor's certificates list only the paths that are not
+  that edge; a certificate that lists every path is valid too;
 * ``"classes"``: optionally, the colour classes the paths are confined to
   (each a list of one or two vertices).
 
@@ -291,7 +294,7 @@ def _certificate_doc(imm: Immersion) -> dict:
         "corners": list(imm.corners),
         "paths": [
             {"pair": list(pair), "edges": list(ids)}
-            for pair, ids in sorted(imm.paths.items())
+            for pair, ids in sorted(imm.listed.items())
         ],
     }
     if imm.faithful_to is not None:
@@ -324,15 +327,17 @@ def _path_template(length: int) -> str:
 def emit_certificate(imm: Immersion) -> str:
     """The certificate as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, plus a newline.
 
-    json's indented output runs its pure-Python encoder, so the text is
-    joined here directly: keys sorted, two spaces per level, one number
-    per line, with the paths section written by one ``%`` over the
-    per-length entry templates of its paths.  A certificate this layout
+    Only the listed paths are written; a corner pair without one is joined
+    by its lowest-id edge (see the module docstring).  json's indented
+    output runs its pure-Python encoder, so the text is joined here
+    directly: keys sorted, two spaces per level, one number per line, with
+    the paths section written by one ``%`` over the per-length entry
+    templates of its paths.  A certificate this layout
     does not cover (a number that is not a plain int, a pair not of two
     corners, an empty path) is handed to json itself, so the output is the
     same either way.
     """
-    paths = imm.paths
+    paths = imm.listed
     classes = () if imm.faithful_to is None else imm.faithful_to.classes
     leaves = chain(
         imm.corners,
@@ -361,7 +366,8 @@ def emit_certificate(imm: Immersion) -> str:
 
 @gc_paused
 def parse_certificate(g: Multigraph, text: str) -> Immersion:
-    """Rebuild an immersion certificate; the graph resolves colour classes.
+    """Rebuild an immersion certificate; the graph resolves colour classes
+    and is the host of its implicit paths, which are not built here.
 
     Every container must be a JSON list and every corner, pair entry, edge
     and class entry a plain integer (not ``true``/``false``); anything else
@@ -401,4 +407,4 @@ def parse_certificate(g: Multigraph, text: str) -> Immersion:
         twice = next(p for p, k in Counter(map(tuple, pairs)).items() if k > 1)
         raise GraphError(f"malformed certificate: pair {list(twice)} has two paths")
     col = _with_split(g, list(map(tuple, classes))) if faithful else None
-    return Immersion(tuple(corners), paths, faithful_to=col)
+    return Immersion(tuple(corners), paths, faithful_to=col, host=g)

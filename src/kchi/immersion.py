@@ -25,6 +25,9 @@ refuses them), lays its paths into the caller's paths dict and spent-edge
 set through ``_lay_paths``, the constructor's one path lane, and returns
 only the corners.
 
+A corner pair with no listed path is joined by its lowest-id edge, and
+certificates leave such paths out: the lane lists a path only when it is not
+that edge, and ``Immersion.paths`` reads the others off the host graph.
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and
 ``chi_alpha2`` run with the cyclic garbage collector paused
@@ -40,7 +43,7 @@ the singletons' non-edges into pair classes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -97,17 +100,74 @@ class PairColouring:
 
 @dataclass(frozen=True)
 class Immersion:
-    """A complete-graph immersion: corners plus one edge-id path per pair.
+    """A complete-graph immersion: corners plus one edge-id path per corner pair.
 
-    Paths are keyed by the sorted corner pair and stored as edge-identity
-    sequences walking from the lower corner to the higher one.  When
-    ``faithful_to`` is set, every path is confined to the union of its two
-    corners' colour classes.
+    A path is an edge-identity sequence walking from the lower corner to the
+    higher one, keyed by the sorted corner pair.  ``listed`` holds the paths
+    a certificate writes out.  A corner pair with no listed path is joined by
+    its lowest-id edge: its path is implicit.  ``paths`` answers for every
+    corner pair, reading implicit paths off ``host`` (without a host it holds
+    the listed paths alone).  When ``faithful_to`` is set, every path is
+    confined to the union of its two corners' colour classes.
     """
 
     corners: tuple[int, ...]
-    paths: dict[tuple[int, int], tuple[int, ...]]
+    listed: Mapping[tuple[int, int], tuple[int, ...]]
     faithful_to: PairColouring | None = None
+    host: Multigraph | None = field(default=None, compare=False)
+
+    @cached_property
+    def paths(self) -> CornerPaths:
+        return CornerPaths(self)
+
+
+class CornerPaths(Mapping):
+    """Every path of an immersion, keyed by sorted corner pair; read-only.
+
+    Holds the listed paths and resolves any other pair of adjacent corners
+    to ``(lowest id,)`` through the host graph when that pair is read.
+    Iterates the listed pairs first, then the implicit ones in sorted order.
+    """
+
+    __slots__ = ("_listed", "_host", "_corners")
+
+    def __init__(self, imm: Immersion):
+        self._listed = imm.listed
+        self._host = imm.host
+        self._corners = frozenset(imm.corners)
+
+    def _implicit(self, key) -> bool:
+        """Whether ``key`` is an unlisted sorted pair of adjacent corners."""
+        g, corners = self._host, self._corners
+        return (
+            g is not None
+            and type(key) is tuple
+            and len(key) == 2
+            and key[0] in corners
+            and key[1] in corners
+            and 0 <= key[0] < key[1] < g.n
+            and key not in self._listed
+            and g.has_edge(*key)
+        )
+
+    def __getitem__(self, key):
+        seq = self._listed.get(key)
+        if seq is not None:
+            return seq
+        if not self._implicit(key):
+            raise KeyError(key)
+        return (self._host.free_edge(key, ()),)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        yield from self._listed
+        if self._host is not None:
+            yield from filter(self._implicit, combinations(sorted(self._corners), 2))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def _bits(vertices) -> int:
@@ -258,35 +318,57 @@ def _hop_fault(g: Multigraph, route: tuple[int, ...], u: int, w: int) -> Certifi
     )
 
 
-def _lay_paths(g: Multigraph, routes, used: set[int], paths: dict) -> None:
+def _second_path(key: tuple[int, int]) -> CertificateError:
+    return CertificateError("two paths for one corner pair", dump={"pair": key})
+
+
+def _lay_paths(
+    g: Multigraph, routes, used: set[int], paths: dict, implicit: set | None = None
+) -> None:
     """The path lane: lay each vertex route as a path of lowest unused edges.
 
     A route is two vertices for a direct edge, or more for a longer walk;
-    each hop takes its pair's lowest edge identity not in ``used``.  The
-    path is stored under the route's sorted end pair and walks from the
-    lower end.  A second path for an end pair, a hop with no edge and a hop
-    whose copies are all spent are broken contracts.
+    each hop takes its pair's lowest edge identity not in ``used``, and every
+    edge taken goes into ``used``.  A two-vertex route that gets its pair's
+    lowest identity of all is implicit, as certificates leave it: its end
+    pair goes into ``implicit``.  Every other path is stored in ``paths``
+    under the route's sorted end pair and walks from the lower end.  A
+    second path for an end pair, a hop with no edge and a hop whose copies
+    are all spent are broken contracts.  Calls that share ``paths`` share
+    ``implicit`` too, so a second path is refused across them; it defaults
+    to a set of this call's own.
     """
-    free_edge = g.free_edge
+    if implicit is None:
+        implicit = set()
+    free_copy = g.free_copy
     for route in routes:
         a, b = route[0], route[-1]
         key = (a, b) if a < b else (b, a)
         if key in paths:
-            raise CertificateError("two paths for one corner pair", dump={"pair": key})
-        if len(route) == 2:  # nearly every path: one bisect, no hop list
-            e = free_edge(key, used)
-            if e is None:
+            raise _second_path(key)
+        direct = len(route) == 2
+        if direct:  # nearly every path: one bisect, no hop list
+            found = free_copy(key, used)
+            if found is not None and found[1]:
+                # the pair's lowest copy was unused, so its pair is not in ``implicit``
+                used.add(found[0])
+                implicit.add(key)
+                continue
+        if key in implicit:
+            raise _second_path(key)
+        if direct:
+            if found is None:
                 raise _hop_fault(g, route, a, b)
-            used.add(e)
-            paths[key] = (e,)
+            used.add(found[0])
+            paths[key] = (found[0],)
             continue
         ids = []
         for u, w in zip(route, route[1:]):
-            e = free_edge((u, w) if u < w else (w, u), used)
-            if e is None:
+            found = free_copy((u, w) if u < w else (w, u), used)
+            if found is None:
                 raise _hop_fault(g, route, u, w)
-            used.add(e)
-            ids.append(e)
+            used.add(found[0])
+            ids.append(found[0])
         paths[key] = tuple(ids) if a < b else tuple(reversed(ids))
 
 
@@ -382,17 +464,17 @@ def faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
         )
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     corners = _faithful_immersion(g, col, set(), paths)
-    return Immersion(corners, paths, faithful_to=col)
+    return Immersion(corners, paths, faithful_to=col, host=g)
 
 
 def _faithful_immersion(
-    g: Multigraph, col: PairColouring, used: set[int], paths: dict
+    g: Multigraph, col: PairColouring, used: set[int], paths: dict, implicit: set | None = None
 ) -> tuple[int, ...]:
     """``faithful_immersion`` on a colouring already known to be optimal.
 
     Detached classes are skipped (the constructor immerses them a level
-    below).  The paths go into ``paths`` and their edges into ``used``, both
-    shared with the caller; the corners are returned.
+    below).  The paths are laid by ``_lay_paths`` into ``paths``, ``used``
+    and ``implicit``, all shared with the caller; the corners are returned.
     """
     labels = corner_labels(g, col)
     singles = col.singletons
@@ -405,7 +487,7 @@ def _faithful_immersion(
             direct.append((ca, cb))
         else:  # non-adjacent corners walk through the two inner halves
             routes.append((ca, ib, ia, cb))
-    _lay_paths(g, direct + routes, used, paths)
+    _lay_paths(g, direct + routes, used, paths, implicit)
     return corners
 
 
@@ -421,11 +503,16 @@ def verify_immersion(
     Accepts iff the corner set has exactly ``t`` distinct vertices, there is
     exactly one path per unordered corner pair, every path is a walk whose
     consecutive edges chain between its corners, and no edge identity is
-    used twice.  A colouring in ``faithful_wrt`` (defaulting to the
-    immersion's own ``faithful_to`` annotation) must be a colouring of the
-    graph: classes of one or two distinct vertices inside it, pairwise
-    disjoint, none spanning an edge.  It additionally restricts every path
-    to the union of its corners' classes, at most one corner per class.
+    used twice.  A corner pair with no listed path is joined by its lowest-id
+    edge (``Immersion``): each corner's unlisted pairs above it are checked
+    by one AND of adjacency masks, and a listed edge that joins an unlisted
+    corner pair must not be that pair's lowest identity.  A colouring in
+    ``faithful_wrt`` (defaulting to the immersion's own ``faithful_to``
+    annotation) must be a colouring of the graph: classes of one or two
+    distinct vertices inside it, pairwise disjoint, none spanning an edge.
+    It additionally restricts every path to the union of its corners'
+    classes, at most one corner per class; an implicit path never leaves its
+    two corners, so only listed paths are walked for it.
 
     A one-edge path closes its walk exactly when that edge joins its two
     corners, so such paths are accepted by one comparison; every other path
@@ -442,20 +529,36 @@ def verify_immersion(
         failures.append("corner outside the graph")
         return ValidityReport.from_failures(failures)
 
-    paths = imm.paths
+    listed = imm.listed
+    corner_bits = _bits(distinct)
+    # listed_with[u]: the corners above u listed with it; other listed keys are foreign
+    listed_with = [0] * g.n
+    pairs: list[tuple[int, int]] = []
+    foreign = []
+    for key in listed:
+        ordered = len(key) == 2 and 0 <= key[0] < key[1]
+        if ordered and corner_bits >> key[0] & corner_bits >> key[1] & 1:
+            pairs.append(key)
+            listed_with[key[0]] |= 1 << key[1]
+        else:
+            foreign.append(key)
+
+    missing: list[str] = []
+    implicit = 0
+    for u in distinct:
+        unlisted = corner_bits & -(2 << u) & ~listed_with[u]
+        row = g.adjacency_mask(u)
+        implicit += (unlisted & row).bit_count()
+        missing += [f"missing path for corner pair {(u, w)}" for w in iter_bits(unlisted & ~row)]
+
     m = g.m
     us, vs = g.endpoint_columns
-    tally = bytearray(m)  # 1 once an edge identity is on some path
+    free_edge = g.free_edge
+    tally = bytearray(m)  # 1 once an edge identity is on some listed path
     reused: set[int] = set()
-    missing: list[str] = []
-    broken: list[str] = []
-    found = 0
-    for key in combinations(distinct, 2):  # sorted pairs, in sorted order
-        seq = paths.get(key)
-        if seq is None:
-            missing.append(f"missing path for corner pair {key}")
-            continue
-        found += 1
+    broken: list[tuple[tuple[int, int], str]] = []
+    for key in pairs:
+        seq = listed[key]
         if len(seq) == 1:
             e = seq[0]
             if 0 <= e < m and us[e] == key[0] and vs[e] == key[1]:
@@ -464,12 +567,12 @@ def verify_immersion(
                 tally[e] = 1
                 continue
         if not seq:
-            broken.append(f"empty path for pair {key}")
+            broken.append((key, f"empty path for pair {key}"))
             continue
         at = key[0]
         for e in seq:
             if not 0 <= e < m:
-                broken.append(f"path for pair {key} uses unknown edge {e}")
+                broken.append((key, f"path for pair {key} uses unknown edge {e}"))
                 break
             u, w = us[e], vs[e]
             if at == u:
@@ -477,20 +580,24 @@ def verify_immersion(
             elif at == w:
                 at = u
             else:
-                broken.append(f"path for pair {key}: edge {e} does not continue the walk")
+                broken.append((key, f"path for pair {key}: edge {e} does not continue the walk"))
                 break
             if tally[e]:
                 reused.add(e)
             tally[e] = 1
+            # an unlisted corner pair's lowest identity is its implicit path
+            if corner_bits >> u & corner_bits >> w & 1 and not listed_with[u] >> w & 1:
+                if free_edge((u, w), ()) == e:
+                    reused.add(e)
         else:
             if at != key[1]:
-                broken.append(f"path for pair {key} stops at {at}, not at its endpoint {key[1]}")
+                broken.append(
+                    (key, f"path for pair {key} stops at {at}, not at its endpoint {key[1]}")
+                )
 
     failures += missing
-    if found < len(paths):
-        wanted = set(combinations(distinct, 2))
-        failures += [f"path for non-corner pair {key}" for key in sorted(set(paths) - wanted)]
-    failures += broken
+    failures += [f"path for non-corner pair {key}" for key in sorted(foreign)]
+    failures += [message for _, message in sorted(broken)]
     if reused:
         failures.append(f"edge reuse: identities {sorted(reused)[:8]} appear in several paths")
 
@@ -505,24 +612,27 @@ def verify_immersion(
             inside = [u for u in set(corners) if u in cls]
             if len(inside) > 1:
                 failures.append(f"class {cls} contains two corners {sorted(inside)}")
-        for key in combinations(distinct, 2):
-            seq = paths.get(key)
-            if seq is None:
-                continue
-            if key[0] not in home or key[1] not in home:
-                failures.append(f"corner pair {key} not covered by the colouring")
+        uncovered = {u for u in distinct if u not in home}
+        if uncovered:
+            failures += [
+                f"corner pair {key} not covered by the colouring"
+                for key in combinations(distinct, 2)
+                if key[0] in uncovered or key[1] in uncovered
+            ]
+        for key in sorted(pairs):
+            if key[0] in uncovered or key[1] in uncovered:
                 continue
             allowed = set(home[key[0]]) | set(home[key[1]])
-            for e in seq:
+            for e in listed[key]:
                 if not 0 <= e < m:
                     continue
                 if us[e] not in allowed or vs[e] not in allowed:
-                    failures.append(
-                        f"path for pair {key} leaves its classes at edge {e}"
-                    )
+                    failures.append(f"path for pair {key} leaves its classes at edge {e}")
                     break
 
-    return ValidityReport.from_failures(failures, details={"paths": len(paths)})
+    return ValidityReport.from_failures(
+        failures, details={"listed": len(listed), "implicit": implicit}
+    )
 
 
 # -- structural audits ------------------------------------------------------

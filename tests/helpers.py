@@ -15,8 +15,10 @@ from kchi.construct import (
 )
 from kchi.decorated import RegionPartition, critical_colouring
 from kchi.errors import CertificateError
+from kchi.generators import emit_certificate
 from kchi.graphs import Multigraph
 from kchi.immersion import (
+    Immersion,
     PairColouring,
     _bits,
     _faithful_immersion,
@@ -27,6 +29,13 @@ from kchi.immersion import (
     audit_refined,
     run_colouring_audits,
 )
+
+
+def written_out(imm: Immersion) -> str:
+    """``imm``'s certificate with every corner pair's path listed, the implicit
+    ones as their lowest-id edge: the text certificates had before such
+    paths were left out."""
+    return emit_certificate(Immersion(imm.corners, dict(imm.paths), imm.faithful_to))
 
 
 def path(k: int) -> Multigraph:

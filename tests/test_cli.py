@@ -317,6 +317,18 @@ class TestStress:
         assert code == 0 and doc["verified"] == "32/32"
         assert len(pools) == 1 and pools[0].closed
 
+    def test_failed_case_records_its_dump(self, run, monkeypatch):
+        import kchi.cli
+        from kchi.errors import CertificateError
+
+        def broken(g):
+            raise CertificateError("simulated", dump={"k": 1})
+
+        monkeypatch.setattr(kchi.cli, "construct_immersion", broken)
+        code, doc, _ = run("stress", "--n", "6", "--count", "3", "--seed", "0")
+        assert code == 1 and doc["verified"] == "0/3"
+        assert [case["dump"] for case in doc["failures"]] == [{"k": 1}] * 3
+
     def test_campaigns_are_reproducible(self, run):
         a = run("stress", "--n", "14", "--count", "10", "--seed", "9")
         assert a == run("stress", "--n", "14", "--count", "10", "--seed", "9")

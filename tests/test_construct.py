@@ -36,7 +36,7 @@ from kchi.immersion import (
 )
 from kchi.oracles import brute_chi
 
-from helpers import cocktail, complete, cycle, path, reference_immerse
+from helpers import cocktail, complete, cycle, path, reference_immerse, written_out
 
 
 def random_alpha2(n, density, rng):
@@ -569,8 +569,10 @@ class TestEngineeredHosts:
 
 
 # sha256 over the certificates of six near-complete ``gen_alpha2`` hosts,
-# recorded once each level handed down the restriction of its own colouring
+# written out in full (recorded once each level handed down the restriction
+# of its own colouring, before lowest-id edges were left implicit) and as written
 NEAR_COMPLETE_CERTIFICATES = "3a53cba5dfec26c6ffc3a0edf2cbf94b2893bb4aa08de8e7630b937976ced0bf"
+NEAR_COMPLETE_CERTIFICATES_AS_WRITTEN = "a3e98e1e1f92a2a987f6d2bbcd34d904f95482c40e58523ebfd7c2ab62d71e48"
 
 
 class TestNearCompleteHosts:
@@ -595,10 +597,13 @@ class TestNearCompleteHosts:
         assert time.perf_counter() - start < 1.0
 
     def test_certificates_pinned(self):
-        h = hashlib.sha256()
+        full, written = hashlib.sha256(), hashlib.sha256()
         for n, density, seed in [
             (120, 0.005, 1), (120, 0.01, 2), (150, 0.02, 3),
             (200, 0.01, 4), (200, 0.03, 5), (250, 0.008, 6),
         ]:
-            h.update(emit_certificate(construct_immersion(gen_alpha2(n, density, seed))).encode())
-        assert h.hexdigest() == NEAR_COMPLETE_CERTIFICATES
+            imm = construct_immersion(gen_alpha2(n, density, seed))
+            full.update(written_out(imm).encode())
+            written.update(emit_certificate(imm).encode())
+        assert full.hexdigest() == NEAR_COMPLETE_CERTIFICATES
+        assert written.hexdigest() == NEAR_COMPLETE_CERTIFICATES_AS_WRITTEN

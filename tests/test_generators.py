@@ -27,7 +27,7 @@ from kchi.immersion import (
     verify_immersion,
 )
 
-from helpers import cocktail, complete, cycle, graph_fields, star
+from helpers import cocktail, complete, cycle, graph_fields, star, written_out
 
 
 def test_alpha2_is_always_alpha2():
@@ -308,9 +308,33 @@ class TestCertificateWriter:
         from kchi.construct import construct_immersion
 
         rng = random.Random(4242)
+        sparse = 0
         for i in range(50):
             g = gen_alpha2(1 + i % 45, rng.random(), rng.randrange(2**32))
-            self._same_and_round_trips(g, construct_immersion(g))
+            imm = construct_immersion(g)
+            self._same_and_round_trips(g, imm)
+            sparse += 0 < len(imm.listed) < len(imm.paths)
+        assert sparse >= 10
+
+    def test_certificate_with_every_path_implicit(self):
+        from kchi.construct import construct_immersion
+
+        g = complete(5)
+        imm = construct_immersion(g)
+        assert imm.listed == {} and len(imm.paths) == 10
+        self._same_and_round_trips(g, imm)
+        assert '"paths": []' in emit_certificate(imm)
+
+    def test_certificates_listing_every_path_still_verify(self):
+        from kchi.construct import construct_immersion
+
+        rng = random.Random(4243)
+        for i in range(30):
+            g = gen_alpha2(1 + i % 30, rng.random(), rng.randrange(2**32))
+            imm = construct_immersion(g)
+            back = parse_certificate(g, written_out(imm))
+            assert back.listed == dict(imm.paths)
+            assert verify_immersion(g, back, len(imm.corners)).ok
 
     def test_paths_of_every_length(self):
         """One template per path length: lengths 1, 2, 3, 5 and 8 side by side."""
@@ -319,9 +343,10 @@ class TestCertificateWriter:
         first = iter(range(g.m))
         paths = {pair: tuple(next(first) for _ in range(k)) for pair, k in lengths.items()}
         corners = tuple(sorted({v for pair in paths for v in pair}))
-        self._same_and_round_trips(g, Immersion(corners, paths))
+        # the corner pairs (2, 3), (3, 4) and (0, 11) are left to their lowest edges
+        self._same_and_round_trips(g, Immersion(corners, paths, host=g))
         col = _with_split(g, [(0, 5), (1,), (2, 9), (3,), (4,), (7,), (11,)])
-        back = self._same_and_round_trips(g, Immersion(corners, paths, faithful_to=col))
+        back = self._same_and_round_trips(g, Immersion(corners, paths, faithful_to=col, host=g))
         assert back.faithful_to.classes == col.classes
 
     @pytest.mark.parametrize(

@@ -381,6 +381,27 @@ class TestPathLane:
             _lay_paths(path(4), routes, used, {})
         assert err.value.dump == dump
 
+    def test_lowest_copies_are_left_implicit(self):
+        # copies of 0-1 are 0, 1, of 0-2 are 2, 3 and of 1-2 are 4, 5
+        g = complete(3).doubled()
+        used, paths, implicit = set(), {}, set()
+        _lay_paths(g, [(1, 0)], used, paths, implicit)
+        assert paths == {} and implicit == {(0, 1)} and used == {0}
+        # the route 0-1-2 spends the lowest copies of 0-1 and 1-2, so the
+        # direct pairs after it get their second copies, which are listed
+        used, paths, implicit = set(), {}, set()
+        _lay_paths(g, [(0, 1, 2), (1, 0), (2, 1)], used, paths, implicit)
+        assert paths == {(0, 2): (0, 4), (0, 1): (1,), (1, 2): (5,)} and not implicit
+        assert verify_immersion(g, Immersion((0, 1, 2), paths), 3).ok
+
+    def test_a_second_path_is_refused_across_calls(self):
+        g = path(4)
+        used, paths, implicit = set(), {}, set()
+        _lay_paths(g, [(0, 1)], used, paths, implicit)
+        with pytest.raises(CertificateError, match="two paths for one corner pair") as err:
+            _lay_paths(g, [(1, 0)], used, paths, implicit)
+        assert err.value.dump == {"pair": (0, 1)}
+
 
 class TestVerifyImmersion:
     def test_wrong_target_count(self):
@@ -457,6 +478,59 @@ class TestVerifyImmersion:
         g, col, imm = c5_immersion()
         rep = verify_immersion(g, imm, 3, faithful_wrt=col)
         assert rep.ok, rep.failures
+
+
+class TestImplicitPaths:
+    """A corner pair with no listed path is joined by its lowest-id edge."""
+
+    def test_k3_with_no_listed_path(self):
+        g = complete(3)
+        doc = {"kind": "immersion", "t": 3, "corners": [0, 1, 2], "paths": []}
+        imm = parse_certificate(g, json.dumps(doc))
+        assert imm.listed == {}
+        assert imm.paths == {(0, 1): (0,), (0, 2): (1,), (1, 2): (2,)}
+        rep = verify_immersion(g, imm, 3)
+        assert rep.ok and rep.details == {"listed": 0, "implicit": 3}
+
+    def test_paths_answer_for_every_corner_pair(self):
+        g, _, imm = c5_immersion()
+        assert imm.listed == {(0, 3): (0, 1, 2)}
+        assert imm.paths[(0, 4)] == (4,) and len(imm.paths) == 3
+        # neither a non-corner pair nor a reversed one has a path
+        assert (1, 2) not in imm.paths and (4, 0) not in imm.paths
+
+    def test_implicit_pair_without_an_edge(self):
+        g = cycle(5)  # corners 0 and 2 are not adjacent
+        rep = verify_immersion(g, Immersion((0, 1, 2), {}), 3)
+        assert rep.failures == ["missing path for corner pair (0, 2)"]
+
+    def test_listed_path_through_an_implicit_lowest_copy(self):
+        # doubled K3: copies of 0-1 are 0, 1, of 0-2 are 2, 3 and of 1-2 are 4, 5
+        g = complete(3).doubled()
+        # 0-2-1 on copy 2, the implicit path of (0, 2), then the spare copy 5
+        rep = verify_immersion(g, Immersion((0, 1, 2), {(0, 1): (2, 5)}), 3)
+        assert rep.failures == ["edge reuse: identities [2] appear in several paths"]
+        rep = verify_immersion(g, Immersion((0, 1, 2), {(0, 1): (3, 5)}), 3)
+        assert rep.ok, rep.failures
+
+    def test_faithful_certificate_with_implicit_pairs(self):
+        g = gen_family("faithful", (4, 2))
+        chi, col = chi_alpha2(g)
+        col = refine_split(g, col)
+        imm = faithful_immersion(g, col)
+        assert 0 < len(imm.listed) < chi * (chi - 1) // 2
+        assert verify_immersion(g, imm, chi, faithful_wrt=col).ok
+        back = parse_certificate(g, emit_certificate(imm))
+        assert verify_immersion(g, back, chi).ok
+
+    def test_implicit_pairs_need_coloured_corners(self):
+        g = complete(3)
+        col = _with_split(g, [(0,), (1,)])
+        rep = verify_immersion(g, Immersion((0, 1, 2), {}), 3, faithful_wrt=col)
+        assert rep.failures == [
+            "corner pair (0, 2) not covered by the colouring",
+            "corner pair (1, 2) not covered by the colouring",
+        ]
 
 
 def k4_immersion():

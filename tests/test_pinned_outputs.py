@@ -5,6 +5,11 @@ output of one pipeline over a fixed, seeded family of inputs and compares
 it with a digest recorded before the optimisations it guards.  A mismatch
 means some certificate or colouring changed; find it by diffing the
 outputs of the two trees on the same inputs.
+
+Certificates are hashed twice: as written, and written out with every
+corner pair's path listed (``helpers.written_out``).  The written-out
+digests were recorded before certificates left a pair's lowest-id edge
+implicit, so they prove that the listed paths did not change.
 """
 
 from __future__ import annotations
@@ -16,28 +21,45 @@ import random
 import kchi.construct
 from kchi.colouring import cycle_matching_colouring
 from kchi.construct import construct_immersion
-from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph
+from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph, parse_certificate
+from kchi.immersion import chi_alpha2, verify_immersion
 
+from helpers import written_out
+
+# the certificates written out in full, then as written
 SMALL_CERTIFICATES = "74e016282502750715a6eb06216039e35d250acb7e2b471d4e2d07bdfa40b879"
+SMALL_CERTIFICATES_AS_WRITTEN = "e50d1bde694c8e6255c984fb17d2d1df21eab744ea5b40db047861b3febe8df5"
 LARGE_CERTIFICATE = "c104bcf26bff91d45c79096bf36d7dacc01f63c2dda9ddaf16771330e7fc59fb"
+LARGE_CERTIFICATE_AS_WRITTEN = "e588c2cbbd03dc007addca9f82c24a9c7a5d52eb84fff30fcdfbfea82dc05823"
 COLOURINGS = "36ecab7ce78595377ee28d7dbf6cb067fbd8bf7766ff2d83843efd3ef6605e8a"
 BRIDGE_STAGES = "c8edca78da0a53b553c2587cd49c1ae5fd67ff011fcb0e5fa00e8c91d855f064"
 
 
-def small_certificates_digest() -> str:
-    """sha256 over the certificates of 200 seeded ``gen_alpha2`` graphs, n ≤ 60."""
+def certificate_digests(graphs) -> tuple[str, str]:
+    """sha256 over the certificates of ``graphs``, written out in full and as written."""
+    full, written = hashlib.sha256(), hashlib.sha256()
+    for g in graphs:
+        imm = construct_immersion(g)
+        full.update(written_out(imm).encode())
+        written.update(emit_certificate(imm).encode())
+    return full.hexdigest(), written.hexdigest()
+
+
+def small_graphs():
+    """200 seeded ``gen_alpha2`` graphs, n ≤ 60."""
     rng = random.Random(20260)
-    h = hashlib.sha256()
-    for i in range(200):
-        n, density, seed = 1 + i % 60, rng.random(), rng.randrange(2**32)
-        h.update(emit_certificate(construct_immersion(gen_alpha2(n, density, seed))).encode())
-    return h.hexdigest()
+    specs = [(1 + i % 60, rng.random(), rng.randrange(2**32)) for i in range(200)]
+    return (gen_alpha2(*spec) for spec in specs)
 
 
-def large_certificate_digest() -> str:
-    """sha256 of the certificate of one n = 300 ``gen_alpha2`` graph."""
-    text = emit_certificate(construct_immersion(gen_alpha2(300, 0.5, 3001)))
-    return hashlib.sha256(text.encode()).hexdigest()
+def small_certificates_digests() -> tuple[str, str]:
+    """The digests of the certificates of ``small_graphs``."""
+    return certificate_digests(small_graphs())
+
+
+def large_certificate_digests() -> tuple[str, str]:
+    """The digests of the certificate of one n = 300 ``gen_alpha2`` graph."""
+    return certificate_digests([gen_alpha2(300, 0.5, 3001)])
 
 
 def colourings_digest() -> str:
@@ -85,11 +107,20 @@ def bridge_stages_digest() -> str:
 
 
 def test_small_certificates_are_pinned():
-    assert small_certificates_digest() == SMALL_CERTIFICATES
+    assert small_certificates_digests() == (SMALL_CERTIFICATES, SMALL_CERTIFICATES_AS_WRITTEN)
 
 
 def test_large_certificate_is_pinned():
-    assert large_certificate_digest() == LARGE_CERTIFICATE
+    assert large_certificate_digests() == (LARGE_CERTIFICATE, LARGE_CERTIFICATE_AS_WRITTEN)
+
+
+def test_certificates_written_out_in_full_still_verify():
+    # the written-out text is what certificates were before implicit paths
+    # (the digests above prove it), so kchi verify accepts the older ones
+    for g in list(small_graphs()) + [gen_alpha2(300, 0.5, 3001)]:
+        imm = construct_immersion(g)
+        back = parse_certificate(g, written_out(imm))
+        assert verify_immersion(g, back, chi_alpha2(g)[0]).ok
 
 
 def test_colourings_are_pinned():
@@ -101,7 +132,11 @@ def test_bridge_stages_are_pinned():
 
 
 if __name__ == "__main__":
-    print("SMALL_CERTIFICATES =", repr(small_certificates_digest()))
-    print("LARGE_CERTIFICATE =", repr(large_certificate_digest()))
+    small, small_written = small_certificates_digests()
+    large, large_written = large_certificate_digests()
+    print("SMALL_CERTIFICATES =", repr(small))
+    print("SMALL_CERTIFICATES_AS_WRITTEN =", repr(small_written))
+    print("LARGE_CERTIFICATE =", repr(large))
+    print("LARGE_CERTIFICATE_AS_WRITTEN =", repr(large_written))
     print("COLOURINGS =", repr(colourings_digest()))
     print("BRIDGE_STAGES =", repr(bridge_stages_digest()))
