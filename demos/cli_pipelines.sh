@@ -69,6 +69,23 @@ kchi verify "$workdir/g300.json" "$workdir/cert300.json" > /dev/null
 echo "verified"
 
 echo
+echo '# the certificate lists exactly the non-adjacent corner pairs; every'
+echo '# adjacent pair is left to its lowest-id edge'
+python3 - "$workdir/g300.json" "$workdir/cert300.json" <<'EOF'
+import json, sys
+from itertools import combinations
+graph, doc = json.load(open(sys.argv[1])), json.load(open(sys.argv[2]))
+adjacent = {(min(u, v), max(u, v)) for u, v in graph["edges"]}
+listed = {tuple(p["pair"]) for p in doc["paths"]}
+pairs = set(combinations(sorted(doc["corners"]), 2))
+if not listed <= pairs - adjacent:
+    sys.exit(f"BUG: listed pairs that are adjacent or not corner pairs: {sorted(listed - (pairs - adjacent))[:5]}")
+if not pairs - listed <= adjacent:
+    sys.exit(f"BUG: unlisted corner pairs with no edge: {sorted(pairs - listed - adjacent)[:5]}")
+print("listed", len(listed), "implicit", len(pairs - listed))
+EOF
+
+echo
 echo '# a near-complete host: its complement is sparse, so most classes are'
 echo '# singletons and the constructor walks a long chain of levels, each'
 echo '# handing down the restriction of its own colouring'

@@ -39,14 +39,15 @@ them again.  The final immersion is replayed once, through
 ``verify_immersion`` against χ, before being returned, so callers need not
 replay it themselves.
 
-Each path is stored once.  Every level writes into one paths dict, one set
-of implicit pairs and one set of spent edge identities, the faithful side
-included, and only the corners are handed between levels.  One lane
-(``immersion._lay_paths``) lays every path, the faithful side's included: it
-takes vertex routes, two vertices for a direct edge and four or five for a
-length-3 route or a bridge, and each hop spends its pair's lowest unused
-edge.  A direct edge that is its pair's lowest copy of all is left implicit,
-as the certificate leaves it; the paths dict holds the rest.
+Each path is stored once.  Every level writes into one paths dict and one
+set of spent edge identities, and only the corners are handed between
+levels.  One lane (``immersion._lay_paths``) lays the listed paths only:
+length-3 routes between non-adjacent class corners, and bridges.  Each
+joins two non-adjacent corners and each hop has a non-corner end (an inner
+half or a bridge mid), so no listed path spends an edge between two
+corners, whatever the order of laying.  Every other corner pair is adjacent
+and left implicit, as the certificate leaves it; a singleton's pairs are
+checked by one mask AND each (``immersion._require_adjacent``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .immersion import (
     _grouped_by_owner,
     _lay_paths,
     _refine_split,
+    _require_adjacent,
     _with_split,
     audit_refined,
     chi_alpha2,
@@ -483,12 +485,13 @@ def _immerse(
 ) -> tuple[int, ...]:
     """Immerse K_χ in G[col.vertices], given an optimal colouring ``col`` of it.
 
-    The paths go into ``paths``; the corners are returned.  The first loop
-    walks down the level chain to the empty set, the second back up it.  A
-    level drops a vertex, or joins its faithful side to its detached rest.
+    The listed paths go into ``paths``; the corners are returned.  The first
+    loop walks down the level chain to the empty set, the second back up it.
+    A level drops a vertex, or joins its faithful side to its detached rest
+    and lays only its bridges.  A bridge joins non-adjacent corners through
+    non-corner vertices, so it takes no implicit pair's edge in any order.
     """
     levels = []  # the refined colourings of levels with singletons, top first
-    implicit: set[tuple[int, int]] = set()  # the pairs laid as their lowest copy
     while col.vertices:
         bad = run_colouring_audits(g, col)
         if bad:
@@ -524,12 +527,11 @@ def _immerse(
     corners: tuple[int, ...] = ()  # the levels below: this level's far corners
     for col in reversed(levels):
         # the singletons and attached classes get a faithful immersion
-        x_corners = _faithful_immersion(g, col, used, paths, implicit)
+        x_corners = _faithful_immersion(g, col, used, paths)
 
-        # (singleton, far corner) pairs are one edge, (class corner, far corner)
-        # pairs one edge or a bridge; every bridge hop has a non-corner end, so
-        # no copy depends on the order in which the lane lays them
-        direct = [(a, y) for a in col.singletons for y in corners]
+        # a (class corner, far corner) pair is implicit or bridged, as the
+        # class's digraph sorts it; (singleton, far corner) pairs are implicit
+        bridges = []
         for v in sorted(_grouped_by_owner(col)):
             d = build_bridge_digraph(g, col, v, corners)
             bad = audit_out_degree(d)
@@ -550,9 +552,9 @@ def _immerse(
                 )
             routes = assign_bridges(d, dec)
             for i, bridged in enumerate(d.bridged):
-                for y in d.y_corners:
-                    direct.append(routes[(i, y)] if y in bridged else (d.corner[i], y))
-        _lay_paths(g, direct, used, paths, implicit)
+                bridges += [routes[(i, y)] for y in d.y_corners if y in bridged]
+        _require_adjacent(g, col.singletons, _bits(corners))
+        _lay_paths(g, bridges, used, paths)
 
         corners = tuple(sorted(x_corners + corners))
         if len(corners) != len(col.classes):

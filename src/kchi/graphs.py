@@ -273,29 +273,21 @@ class Multigraph:
         i = bisect_left(hi, v, self._start[u], end)
         return tuple(self._ids[i : bisect_right(hi, v, i, end)])
 
-    def free_copy(self, uv: tuple[int, int], used: Container[int]) -> tuple[int, bool] | None:
-        """``(e, lowest)``: the lowest identity e joining the sorted pair ``uv``
-        that is not in ``used``, and whether e is the pair's lowest identity
-        of all; None when no copy is left.
+    def free_edge(self, uv: tuple[int, int], used: Container[int]) -> int | None:
+        """The lowest identity joining the sorted pair ``uv`` not in ``used``, or None.
 
         Bisects the pair index once, then walks the pair's copies in
-        ascending identity until one is unused; e is the lowest of all when
-        the walk stops at the first position of the pair's run.
+        ascending identity until one is unused.
         """
         u, v = uv
         hi, ids, end = self._hi, self._ids, self._start[u + 1]
-        i = first = bisect_left(hi, v, self._start[u], end)
+        i = bisect_left(hi, v, self._start[u], end)
         while i < end and hi[i] == v:
             e = ids[i]
             if e not in used:
-                return e, i == first
+                return e
             i += 1
         return None
-
-    def free_edge(self, uv: tuple[int, int], used: Container[int]) -> int | None:
-        """The lowest identity joining the sorted pair ``uv`` not in ``used``, or None."""
-        found = self.free_copy(uv, used)
-        return None if found is None else found[0]
 
     def neighbours(self, v: int) -> Iterator[int]:
         return iter_bits(self._mask[v])

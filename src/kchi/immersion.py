@@ -21,13 +21,14 @@ otherwise; the constructor calls their private cores ``_refine_split`` and
 ``_faithful_immersion`` directly, on refinements and restrictions of the
 colouring of ``chi_alpha2``, so one matching serves a whole construction.
 ``_faithful_immersion`` skips detached classes (only ``faithful_immersion``
-refuses them), lays its paths into the caller's paths dict and spent-edge
-set through ``_lay_paths``, the constructor's one path lane, and returns
-only the corners.
+refuses them), lays its length-3 routes into the caller's paths dict and
+spent-edge set through ``_lay_paths``, the constructor's one path lane, and
+returns only the corners.
 
 A corner pair with no listed path is joined by its lowest-id edge, and
-certificates leave such paths out: the lane lists a path only when it is not
-that edge, and ``Immersion.paths`` reads the others off the host graph.
+certificates leave such paths out: the lane lays only the routes between
+non-adjacent corners, and ``Immersion.paths`` reads the others off the host
+graph's adjacency masks.
 ``verify_immersion`` replays any immersion certificate against the host
 graph and is completely independent of the construction code.  It and
 ``chi_alpha2`` run with the cyclic garbage collector paused
@@ -126,7 +127,8 @@ class CornerPaths(Mapping):
 
     Holds the listed paths and resolves any other pair of adjacent corners
     to ``(lowest id,)`` through the host graph when that pair is read.
-    Iterates the listed pairs first, then the implicit ones in sorted order.
+    Iterates the listed pairs first, then the implicit ones in sorted order,
+    read off one adjacency mask per corner.
     """
 
     __slots__ = ("_listed", "_host", "_corners")
@@ -150,6 +152,20 @@ class CornerPaths(Mapping):
             and g.has_edge(*key)
         )
 
+    def _implicit_rows(self) -> Iterator[tuple[int, int]]:
+        """``(u, row)`` for each corner u in the host, ascending: ``row`` masks
+        the adjacent corners above u that are not listed with it."""
+        g = self._host
+        if g is None:
+            return
+        corners = sorted(u for u in self._corners if 0 <= u < g.n)
+        listed_with, bits = dict.fromkeys(corners, 0), _bits(corners)
+        for key in self._listed:
+            if len(key) == 2 and key[0] in listed_with and key[0] < key[1] and bits >> key[1] & 1:
+                listed_with[key[0]] |= 1 << key[1]
+        for u in corners:
+            yield u, g.adjacency_mask(u) & bits & -(2 << u) & ~listed_with[u]
+
     def __getitem__(self, key):
         seq = self._listed.get(key)
         if seq is not None:
@@ -160,11 +176,12 @@ class CornerPaths(Mapping):
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         yield from self._listed
-        if self._host is not None:
-            yield from filter(self._implicit, combinations(sorted(self._corners), 2))
+        for u, row in self._implicit_rows():
+            for w in iter_bits(row):
+                yield u, w
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return len(self._listed) + sum(row.bit_count() for _, row in self._implicit_rows())
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -322,54 +339,42 @@ def _second_path(key: tuple[int, int]) -> CertificateError:
     return CertificateError("two paths for one corner pair", dump={"pair": key})
 
 
-def _lay_paths(
-    g: Multigraph, routes, used: set[int], paths: dict, implicit: set | None = None
-) -> None:
+def _lay_paths(g: Multigraph, routes, used: set[int], paths: dict) -> None:
     """The path lane: lay each vertex route as a path of lowest unused edges.
 
-    A route is two vertices for a direct edge, or more for a longer walk;
-    each hop takes its pair's lowest edge identity not in ``used``, and every
-    edge taken goes into ``used``.  A two-vertex route that gets its pair's
-    lowest identity of all is implicit, as certificates leave it: its end
-    pair goes into ``implicit``.  Every other path is stored in ``paths``
-    under the route's sorted end pair and walks from the lower end.  A
-    second path for an end pair, a hop with no edge and a hop whose copies
-    are all spent are broken contracts.  Calls that share ``paths`` share
-    ``implicit`` too, so a second path is refused across them; it defaults
-    to a set of this call's own.
+    Each hop takes its pair's lowest edge identity not in ``used`` and adds
+    it there; the path is stored in ``paths`` under the route's sorted end
+    pair and walks from the lower end.  A second path for an end pair (also
+    across calls that share ``paths``), a hop with no edge and a hop whose
+    copies are all spent are broken contracts.  The constructor lays only
+    listed routes: each joins two non-adjacent corners, and each hop has a
+    non-corner end.  So no hop spends the lowest edge of an adjacent corner
+    pair, its implicit path, in whatever order the routes are laid.
     """
-    if implicit is None:
-        implicit = set()
-    free_copy = g.free_copy
     for route in routes:
         a, b = route[0], route[-1]
         key = (a, b) if a < b else (b, a)
         if key in paths:
             raise _second_path(key)
-        direct = len(route) == 2
-        if direct:  # nearly every path: one bisect, no hop list
-            found = free_copy(key, used)
-            if found is not None and found[1]:
-                # the pair's lowest copy was unused, so its pair is not in ``implicit``
-                used.add(found[0])
-                implicit.add(key)
-                continue
-        if key in implicit:
-            raise _second_path(key)
-        if direct:
-            if found is None:
-                raise _hop_fault(g, route, a, b)
-            used.add(found[0])
-            paths[key] = (found[0],)
-            continue
         ids = []
         for u, w in zip(route, route[1:]):
-            found = free_copy((u, w) if u < w else (w, u), used)
-            if found is None:
+            e = g.free_edge((u, w) if u < w else (w, u), used)
+            if e is None:
                 raise _hop_fault(g, route, u, w)
-            used.add(found[0])
-            ids.append(found[0])
+            used.add(e)
+            ids.append(e)
         paths[key] = tuple(ids) if a < b else tuple(reversed(ids))
+
+
+def _require_adjacent(g: Multigraph, singles, corners: int) -> None:
+    """Check that each singleton is adjacent to every other corner in the
+    mask ``corners``, as its implicit paths need; the first gap is a missing
+    edge."""
+    for s in singles:
+        gap = corners & ~g.adjacency_mask(s) & ~(1 << s)
+        if gap:
+            y = (gap & -gap).bit_length() - 1
+            raise _hop_fault(g, (s, y), s, y)
 
 
 # -- the split refinement ---------------------------------------------------
@@ -468,26 +473,26 @@ def faithful_immersion(g: Multigraph, col: PairColouring) -> Immersion:
 
 
 def _faithful_immersion(
-    g: Multigraph, col: PairColouring, used: set[int], paths: dict, implicit: set | None = None
+    g: Multigraph, col: PairColouring, used: set[int], paths: dict
 ) -> tuple[int, ...]:
     """``faithful_immersion`` on a colouring already known to be optimal.
 
     Detached classes are skipped (the constructor immerses them a level
-    below).  The paths are laid by ``_lay_paths`` into ``paths``, ``used``
-    and ``implicit``, all shared with the caller; the corners are returned.
+    below).  Only the length-3 routes between non-adjacent class corners are
+    laid, by ``_lay_paths`` into ``paths`` and ``used``, shared with the
+    caller; every hop has an inner-half end, so no route takes an implicit
+    pair's edge.  The other corner pairs are implicit, each singleton's
+    checked adjacent.  The corners are returned.
     """
     labels = corner_labels(g, col)
     singles = col.singletons
     halves = [(labels[cls], col.inner(cls)) for cls in col.attached]
     corners = tuple(sorted(singles + tuple(c for c, _ in halves)))
-    direct = list(combinations(singles, 2)) + [(a, c) for a in singles for c, _ in halves]
-    routes = []
-    for (ca, ia), (cb, ib) in combinations(halves, 2):
-        if g.has_edge(ca, cb):
-            direct.append((ca, cb))
-        else:  # non-adjacent corners walk through the two inner halves
-            routes.append((ca, ib, ia, cb))
-    _lay_paths(g, direct + routes, used, paths, implicit)
+    _require_adjacent(g, singles, _bits(corners))
+    # non-adjacent corners walk through the two inner halves
+    pairs = combinations(halves, 2)
+    routes = [(ca, ib, ia, cb) for (ca, ia), (cb, ib) in pairs if not g.has_edge(ca, cb)]
+    _lay_paths(g, routes, used, paths)
     return corners
 
 

@@ -21,12 +21,13 @@ from kchi.immersion import (
     Immersion,
     PairColouring,
     _bits,
-    _faithful_immersion,
     _grouped_by_owner,
-    _lay_paths,
+    _hop_fault,
     _refine_split,
+    _second_path,
     _with_split,
     audit_refined,
+    corner_labels,
     run_colouring_audits,
 )
 
@@ -222,6 +223,67 @@ def reference_split(g: Multigraph, classes) -> tuple[dict, dict, tuple, list[str
     return owner, corner, tuple(disputed), bad
 
 
+# -- the per-pair path lane ------------------------------------------------------
+#
+# ``immersion._lay_paths`` as it was when every corner pair went through it:
+# a two-vertex route that gets its pair's lowest copy of all is laid as
+# implicit, every other route is listed.  The constructor now lays only the
+# listed routes and checks the implicit pairs by adjacency masks.
+
+
+def _lowest_free(g: Multigraph, uv: tuple[int, int], used) -> tuple[int, bool] | None:
+    """``(e, lowest)``: the pair's lowest copy e not in ``used``, and whether
+    e is its lowest copy of all; None when every copy is spent."""
+    ids = g.edge_ids_between(*uv)
+    for t, e in enumerate(ids):
+        if e not in used:
+            return e, t == 0
+    return None
+
+
+def reference_lay_paths(g: Multigraph, routes, used: set, paths: dict, implicit: set) -> None:
+    """The per-pair lane: every route in turn, its end pair put in ``implicit``
+    when it is a two-vertex route that takes its pair's lowest copy."""
+    for route in routes:
+        a, b = route[0], route[-1]
+        key = (a, b) if a < b else (b, a)
+        if key in paths:
+            raise _second_path(key)
+        direct = len(route) == 2
+        if direct:
+            found = _lowest_free(g, key, used)
+            if found is not None and found[1]:
+                used.add(found[0])
+                implicit.add(key)
+                continue
+        if key in implicit:
+            raise _second_path(key)
+        ids = []
+        for u, w in zip(route, route[1:]):
+            found = _lowest_free(g, (u, w) if u < w else (w, u), used)
+            if found is None:
+                raise _hop_fault(g, route, u, w)
+            used.add(found[0])
+            ids.append(found[0])
+        paths[key] = tuple(ids) if a < b else tuple(reversed(ids))
+
+
+def reference_faithful(g: Multigraph, col: PairColouring, used: set, paths: dict, implicit: set):
+    """``_faithful_immersion`` on the per-pair lane: every corner pair laid."""
+    labels = corner_labels(g, col)
+    singles = col.singletons
+    halves = [(labels[cls], col.inner(cls)) for cls in col.attached]
+    direct = list(combinations(singles, 2)) + [(a, c) for a in singles for c, _ in halves]
+    routes = []
+    for (ca, ia), (cb, ib) in combinations(halves, 2):
+        if g.has_edge(ca, cb):
+            direct.append((ca, cb))
+        else:
+            routes.append((ca, ib, ia, cb))
+    reference_lay_paths(g, direct + routes, used, paths, implicit)
+    return tuple(sorted(singles + tuple(c for c, _ in halves)))
+
+
 # -- the constructor's level chain with four step shapes ----------------------
 #
 # ``construct._immerse`` before the complete and no-attached levels were
@@ -232,13 +294,15 @@ def reference_split(g: Multigraph, classes) -> tuple[dict, dict, tuple, list[str
 
 
 def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict, shapes: Counter):
-    """The four-shape ``_immerse``: the corners, with the paths put in ``paths``."""
+    """The four-shape ``_immerse`` on the per-pair lane: the corners, with the
+    listed paths put in ``paths``."""
+    implicit: set = set()
     levels = []
     while True:
         verts = col.vertices
         if len(col.classes) == len(verts):
             shapes["identity"] += 1
-            _lay_paths(g, combinations(verts, 2), used, paths)
+            reference_lay_paths(g, combinations(verts, 2), used, paths, implicit)
             corners = verts
             break
 
@@ -273,13 +337,13 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
         singles = col.singletons
         if not col.attached:
             later = ((u, w) for t, u in enumerate(singles) for w in singles[t + 1 :] + corners)
-            _lay_paths(g, later, used, paths)
+            reference_lay_paths(g, later, used, paths, implicit)
             corners = tuple(sorted(singles + corners))
             continue
 
         y_corners = corners
         x_classes = [(u,) for u in singles] + list(col.attached)
-        x_corners = _faithful_immersion(g, _with_split(g, x_classes), used, paths)
+        x_corners = reference_faithful(g, _with_split(g, x_classes), used, paths, implicit)
         direct = [(a, y) for a in singles for y in y_corners]
         for v in sorted(_grouped_by_owner(col)):
             d = build_bridge_digraph(g, col, v, y_corners)
@@ -292,9 +356,9 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
             for i, bridged in enumerate(d.bridged):
                 for y in d.y_corners:
                     if y in bridged:  # each bridge before the level's direct pairs
-                        _lay_paths(g, [routes[(i, y)]], used, paths)
+                        reference_lay_paths(g, [routes[(i, y)]], used, paths, implicit)
                     else:
                         direct.append((d.corner[i], y))
-        _lay_paths(g, direct, used, paths)
+        reference_lay_paths(g, direct, used, paths, implicit)
         corners = tuple(sorted(x_corners + y_corners))
     return corners

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -341,6 +342,18 @@ def test_detached_singleton_must_be_universal():
     assert verify_immersion(g, Immersion(corners, paths), 3).ok
 
 
+def assert_only_non_adjacent_pairs_listed(g, imm):
+    """Every listed route joins two non-adjacent corners, and no listed edge
+    joins two corners: the adjacent corner pairs are all left implicit."""
+    corners = imm.corners
+    far_apart = {(u, w) for u, w in combinations(corners, 2) if not g.has_edge(u, w)}
+    assert set(imm.listed) == far_apart
+    on_corners = set(corners)
+    assert not [
+        e for seq in imm.listed.values() for e in seq if on_corners.issuperset(g.endpoints(e))
+    ]
+
+
 def _with_parallel_copies(g, rng):
     """``g`` plus copies of random existing edges, placed among the others."""
     edges = list(g.edges)
@@ -365,9 +378,9 @@ def test_two_step_shapes_match_the_four_shape_reference():
         chi, col = chi_alpha2(g)
         paths = {}
         corners = reference_immerse(g, col, set(), paths, shapes)
-        assert emit_certificate(construct_immersion(g)) == emit_certificate(
-            Immersion(corners, paths)
-        )
+        imm = construct_immersion(g)
+        assert emit_certificate(imm) == emit_certificate(Immersion(corners, paths))
+        assert_only_non_adjacent_pairs_listed(g, imm)
     assert len(hosts) >= 2000 and shapes["none attached"] >= 200, shapes
 
 
@@ -549,6 +562,13 @@ class TestEngineeredHosts:
         chi, imm = checked(g)
         assert chi == brute_chi(g)
         assert 4 in {len(ids) for ids in imm.paths.values()}
+
+    def test_only_non_adjacent_corner_pairs_are_listed(self):
+        hosts = [TRIANGLE_HOST, YMID_HOST, ALPHA_HOST, SHORTCUT_HOST, DETOUR_HOST]
+        hosts += [gen_alpha2(11, 0.37584929805804157, 601180945)]
+        hosts += [gen_alpha2(11, 0.4729279253079284, 152907695)]
+        for g in hosts:
+            assert_only_non_adjacent_pairs_listed(g, construct_immersion(g))
 
     def test_hosts_are_well_formed(self):
         for g in [TRIANGLE_HOST, YMID_HOST, ALPHA_HOST, SHORTCUT_HOST, DETOUR_HOST]:

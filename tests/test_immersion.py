@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -381,25 +382,12 @@ class TestPathLane:
             _lay_paths(path(4), routes, used, {})
         assert err.value.dump == dump
 
-    def test_lowest_copies_are_left_implicit(self):
-        # copies of 0-1 are 0, 1, of 0-2 are 2, 3 and of 1-2 are 4, 5
-        g = complete(3).doubled()
-        used, paths, implicit = set(), {}, set()
-        _lay_paths(g, [(1, 0)], used, paths, implicit)
-        assert paths == {} and implicit == {(0, 1)} and used == {0}
-        # the route 0-1-2 spends the lowest copies of 0-1 and 1-2, so the
-        # direct pairs after it get their second copies, which are listed
-        used, paths, implicit = set(), {}, set()
-        _lay_paths(g, [(0, 1, 2), (1, 0), (2, 1)], used, paths, implicit)
-        assert paths == {(0, 2): (0, 4), (0, 1): (1,), (1, 2): (5,)} and not implicit
-        assert verify_immersion(g, Immersion((0, 1, 2), paths), 3).ok
-
     def test_a_second_path_is_refused_across_calls(self):
         g = path(4)
-        used, paths, implicit = set(), {}, set()
-        _lay_paths(g, [(0, 1)], used, paths, implicit)
+        used, paths = set(), {}
+        _lay_paths(g, [(0, 1)], used, paths)
         with pytest.raises(CertificateError, match="two paths for one corner pair") as err:
-            _lay_paths(g, [(1, 0)], used, paths, implicit)
+            _lay_paths(g, [(1, 0)], used, paths)
         assert err.value.dump == {"pair": (0, 1)}
 
 
@@ -498,6 +486,25 @@ class TestImplicitPaths:
         assert imm.paths[(0, 4)] == (4,) and len(imm.paths) == 3
         # neither a non-corner pair nor a reversed one has a path
         assert (1, 2) not in imm.paths and (4, 0) not in imm.paths
+
+    def test_paths_view_matches_the_per_pair_walk(self):
+        # doubled C5: copies of 0-1 are 0, 1, of 2-3 are 4, 5 and of 3-4 are 6, 7
+        g = gen_family("doubled", ("cycle", 5))
+        paths = [
+            {"pair": [0, 1], "edges": [1]},  # a one-edge path on the spare copy
+            {"pair": [2, 4], "edges": [4, 6]},
+            {"pair": [3, 4], "edges": [7]},  # foreign: 3 is not a corner
+            {"pair": [4, 1], "edges": []},  # foreign: not sorted
+        ]
+        doc = {"kind": "immersion", "t": 4, "corners": [4, 0, 1, 2, 9], "paths": paths}
+        imm = parse_certificate(g, json.dumps(doc))
+        walk = list(imm.listed) + [
+            key
+            for key in combinations(sorted(imm.corners), 2)
+            if key not in imm.listed and key[1] < g.n and g.has_edge(*key)
+        ]
+        assert walk[4:] == [(0, 4), (1, 2)]
+        assert list(imm.paths) == walk and len(imm.paths) == len(walk)
 
     def test_implicit_pair_without_an_edge(self):
         g = cycle(5)  # corners 0 and 2 are not adjacent
