@@ -86,6 +86,37 @@ print("listed", len(listed), "implicit", len(pairs - listed))
 EOF
 
 echo
+echo '# the n = 300 certificate written out in full, every implicit pair as its'
+echo '# lowest-id edge: the verifier walks each one-edge path like any other and'
+echo '# accepts it, and rejects a copy whose first one-edge path takes the edge'
+echo '# of the next one (exit 1)'
+python3 - "$workdir/g300.json" "$workdir/cert300.json" "$workdir" <<'EOF'
+import json, sys
+from itertools import combinations
+graph, doc = json.load(open(sys.argv[1])), json.load(open(sys.argv[2]))
+lowest = {}
+for e, (u, v) in enumerate(graph["edges"]):
+    lowest.setdefault((min(u, v), max(u, v)), e)
+listed = {tuple(p["pair"]) for p in doc["paths"]}
+doc["paths"] += [{"pair": list(pair), "edges": [lowest[pair]]}
+                 for pair in combinations(sorted(doc["corners"]), 2) if pair not in listed]
+doc["paths"].sort(key=lambda p: p["pair"])
+print("one-edge paths", sum(len(p["edges"]) == 1 for p in doc["paths"]), "of", len(doc["paths"]))
+json.dump(doc, open(sys.argv[3] + "/cert300-full.json", "w"))
+first, second = [p for p in doc["paths"] if len(p["edges"]) == 1][:2]
+first["edges"] = second["edges"]
+json.dump(doc, open(sys.argv[3] + "/cert300-swapped.json", "w"))
+EOF
+kchi verify "$workdir/g300.json" "$workdir/cert300-full.json" > /dev/null
+echo "written out in full: verified"
+status=0
+kchi verify "$workdir/g300.json" "$workdir/cert300-swapped.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "BUG: a one-edge path on another pair's edge gave exit $status, not 1"; exit 1
+fi
+echo "one-edge path on another pair's edge: rejected (exit $status)"
+
+echo
 echo '# a near-complete host: its complement is sparse, so most classes are'
 echo '# singletons and the constructor walks a long chain of levels, each'
 echo '# handing down the restriction of its own colouring'

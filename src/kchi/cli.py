@@ -12,8 +12,9 @@ traceback in the log.  A fault is never reported as 1 or 2.
 which replays every certificate it returns through ``verify_immersion``
 against χ and raises ``CertificateError`` otherwise; they do not replay it
 again.  ``stress`` records a failed case with its edge list and the fault's
-dump, when it has one.  ``verify`` replays a certificate read from a file,
-independently of the constructor.
+dump, when it has one, and finishes the campaign; it exits 3 if any case
+raised an exception outside the domain errors.  ``verify`` replays a
+certificate read from a file, independently of the constructor.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     imm = parse_certificate(g, _read_text(args.certificate))
     if alpha_at_most_2(g):  # chi_alpha2 would test it a second time
-        t, source = len(_optimal_colouring(g, tuple(range(g.n))).classes), "chromatic number"
+        t, source = len(_optimal_colouring(g).classes), "chromatic number"
     else:
         t, source = len(imm.corners), "certificate"
     report = verify_immersion(g, imm, t)
@@ -218,14 +219,17 @@ def _stress_case(task: tuple[int, int, int, float | None]):
     g = gen_alpha2(n, d, rng.randrange(2**32))
     try:
         construct_immersion(g)  # replayed against χ inside, or raised
-    except _DOMAIN_ERRORS as exc:
+    except Exception as exc:  # recorded, so the other cases still run
+        fault = not isinstance(exc, _DOMAIN_ERRORS)
+        if fault:
+            log.exception("internal fault in case %d", i)
         failures = [f"{type(exc).__name__}: {exc}"]
         record = {"case": i, "n": g.n, "edge_list": emit_edge_list(g), "failures": failures}
         dump = getattr(exc, "dump", None)
         if dump:
             record["dump"] = dump
-        return i, record
-    return i, None
+        return i, record, fault
+    return i, None, False
 
 
 def _cmd_stress(args) -> int:
@@ -235,7 +239,8 @@ def _cmd_stress(args) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor() as pool:
             results = list(pool.map(_stress_case, tasks, chunksize=max(1, args.count // 64)))
-    dumps = [dump for _, dump in results if dump is not None]
+    dumps = [dump for _, dump, _ in results if dump is not None]
+    faults = [i for i, _, fault in results if fault]
     ok = args.count - len(dumps)
     _print_json(
         {
@@ -252,6 +257,9 @@ def _cmd_stress(args) -> int:
     log.info("%d/%d verified", ok, args.count)
     if dumps:
         log.error("first counterexample: seed %d case %d", args.seed, dumps[0]["case"])
+    if faults:
+        log.error("internal fault in %d case(s), first: case %d", len(faults), faults[0])
+        return 3
     return 0 if ok == args.count else 1
 
 

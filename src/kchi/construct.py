@@ -35,9 +35,11 @@ that the restriction has exactly that many, which proves it optimal.  A
 hand-down holds at most one singleton and a refine swap keeps the singleton
 count, so every level below the top has at most one singleton.  The
 refinement and the faithful side work on these colourings without proving
-them again.  The final immersion is replayed once, through
-``verify_immersion`` against χ, before being returned, so callers need not
-replay it themselves.
+them again.  ``_refine_split`` returns only once no attached class breaks
+the counting inequality, so its exit is the level's counting audit.  The
+final immersion is replayed once, through ``verify_immersion`` against χ,
+before being returned, so callers need not replay it themselves; that
+replay is the only check on the final corner count.
 
 Each path is stored once.  Every level writes into one paths dict and one
 set of spent edge identities, and only the corners are handed between
@@ -75,7 +77,6 @@ from .immersion import (
     _refine_split,
     _require_adjacent,
     _with_split,
-    audit_refined,
     chi_alpha2,
     corner_labels,
     run_colouring_audits,
@@ -87,9 +88,9 @@ class BridgeArc(NamedTuple):
     """One outgoing detour option of an attached class.
 
     ``head`` is ("x", j) for a detour through another attached class's inner
-    half, or ("y", k) for one through a non-corner vertex of a detached
-    class; ``mid`` is that middle vertex.  The bridge itself is the length-2
-    path inner → mid → corner at the tail class.
+    half, or ("y", k) for one through a non-corner vertex of the detached
+    class ``col.detached[k]``; ``mid`` is that middle vertex.  The bridge
+    itself is the length-2 path inner → mid → corner at the tail class.
     """
 
     tail: int
@@ -115,9 +116,7 @@ class BridgeDigraph:
     ``restrict_out_degree`` checks that it did.
     """
 
-    owner: int
     x_nodes: tuple[tuple[int, int], ...]
-    y_nodes: tuple[tuple[int, int], ...]
     y_corners: tuple[int, ...]
     inner: tuple[int, ...]
     corner: tuple[int, ...]
@@ -183,7 +182,6 @@ def build_bridge_digraph(
         raise PremiseError(f"owner {v} is not a singleton class")
     labels = corner_labels(g, col)
     x_nodes = tuple(sorted(cls for cls in col.attached if col.owner[cls] == v))
-    y_nodes = tuple(sorted(col.detached))
     inner = tuple(map(col.inner, x_nodes))
     corner = tuple(labels[cls] for cls in x_nodes)
 
@@ -219,8 +217,8 @@ def build_bridge_digraph(
     # y-arc i → k when a non-far-corner half of detached class k sees both
     # halves of class i; a class with no far corner may offer both halves,
     # and counts once
-    y_mids = _bits(u for cls in y_nodes for u in cls) & ~far_corners
-    open_pairs = [(p, q) for p, q in y_nodes if not (far_corners >> p | far_corners >> q) & 1]
+    y_mids = col._detached_halves[0] & ~far_corners
+    open_pairs = [(p, q) for p, q in col.detached if not (far_corners >> p | far_corners >> q) & 1]
 
     arcs = []
     offers = []
@@ -239,7 +237,7 @@ def build_bridge_digraph(
         for j in iter_bits(x_kept):
             arcs.append(BridgeArc(i, ("x", j), inner[j]))
         if y_kept:
-            for k, (p, q) in enumerate(y_nodes):  # the lower mid first
+            for k, (p, q) in enumerate(col.detached):  # the lower mid first
                 if mids >> p & 1:
                     arcs.append(BridgeArc(i, ("y", k), p))
                 elif mids >> q & 1:
@@ -251,9 +249,7 @@ def build_bridge_digraph(
                     break
 
     return BridgeDigraph(
-        owner=v,
         x_nodes=x_nodes,
-        y_nodes=y_nodes,
         y_corners=tuple(sorted(y_corners)),
         inner=inner,
         corner=corner,
@@ -465,11 +461,6 @@ def construct_immersion(g: Multigraph) -> Immersion:
     used: set[int] = set()
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     corners = _immerse(g, col, used, paths)
-    if len(corners) != chi:
-        raise CertificateError(
-            "corner count differs from the chromatic number",
-            dump={"corners": corners, "chi": chi},
-        )
     imm = Immersion(corners, paths, host=g)
     report = verify_immersion(g, imm, chi)
     if not report.ok:
@@ -490,6 +481,9 @@ def _immerse(
     A level drops a vertex, or joins its faithful side to its detached rest
     and lays only its bridges.  A bridge joins non-adjacent corners through
     non-corner vertices, so it takes no implicit pair's edge in any order.
+    ``_refine_split`` returns only a colouring with no counting-inequality
+    violation, so that is not audited again here; the caller's replay is
+    the only check of the final corner count against χ.
     """
     levels = []  # the refined colourings of levels with singletons, top first
     while col.vertices:
@@ -506,12 +500,6 @@ def _immerse(
         else:
             # a refine swap keeps the class count: no second proof is needed
             col = _refine_split(g, col)
-            bad = audit_refined(g, col)
-            if bad:
-                raise CertificateError(
-                    "counting inequality still violated after refinement",
-                    dump={"failures": bad[:6]},
-                )
             handed = col.detached
             levels.append(col)
 

@@ -340,23 +340,29 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
       is spanned by the edges consumed in that step;
     * after each step, unmarked vertices keep degree ≤ remaining
       free + reserve colours.
+
+    A step visits only the vertices with an edge left: degree 0 is below
+    the remaining palette size (at least 1) and exceeds no slack.  Degrees
+    only fall, so a vertex that leaves never comes back, and the replay
+    stops once none is left; on an edgeless graph it takes no step.
     """
     bad: list[str] = []
     palette = regions.palette
     step_of = [dec.step_of(e) for e in range(g.m)]
 
-    marks_of: dict[int, list[int]] = {}
-    for c, verts in dec.uncovered_at.items():
-        if not 0 <= c < palette:
-            bad.append(f"marking recorded for unknown colour {c}")
-            continue
-        for x in verts:
-            marks_of.setdefault(x, []).append(c)
+    bad += [
+        f"marking recorded for unknown colour {c}" for c in dec.uncovered_at if not 0 <= c < palette
+    ]
+    marks = {c: xs for c, xs in dec.uncovered_at.items() if 0 <= c < palette}
 
     us, vs = g.endpoint_columns
     for e, (u, v) in enumerate(zip(us, vs)):
-        for i in marks_of.get(u, ()):
-            for j in marks_of.get(v, ()):
+        at_u = [i for i, xs in marks.items() if u in xs]
+        if not at_u:
+            continue
+        at_v = [j for j, xs in marks.items() if v in xs]
+        for i in at_u:
+            for j in at_v:
                 if step_of[e] >= max(i, j):
                     bad.append(
                         f"marked vertices {u} (step {i}) and {v} (step {j}) "
@@ -365,20 +371,21 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
 
     deg = list(g.degrees)
     marked: set[int] = set()
+    alive = [x for x in range(g.n) if deg[x]]
     for c in range(palette):
+        if not alive:
+            break
         consumed = [e for e in range(g.m) if step_of[e] == c]
-        touched = set()
-        for e in consumed:
-            touched.add(us[e])
-            touched.add(vs[e])
-        for x in range(g.n):
+        touched = {x for e in consumed for x in (us[e], vs[e])}
+        for x in alive:
             if deg[x] == palette - c and x not in touched:
                 bad.append(f"step {c}: vertex {x} has full degree but is unspanned")
-        marked |= dec.uncovered_at.get(c, frozenset())
+        marked |= marks.get(c, frozenset())
         for e in consumed:
             deg[us[e]] -= 1
             deg[vs[e]] -= 1
-        for x in range(g.n):
+        alive = [x for x in alive if deg[x]]
+        for x in alive:
             if x in marked:
                 continue
             slack = sum(1 for q in regions.free[x] if q > c) + sum(

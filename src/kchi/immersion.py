@@ -273,8 +273,9 @@ def _non_adjacency(g: Multigraph, verts: tuple[int, ...]) -> list[int]:
     return masks
 
 
-def _optimal_colouring(g: Multigraph, verts: tuple[int, ...]) -> PairColouring:
-    """Optimal colouring of G[verts]: matched complement edges plus singletons."""
+def _optimal_colouring(g: Multigraph) -> PairColouring:
+    """Optimal colouring of G: matched complement edges plus singletons."""
+    verts = tuple(range(g.n))
     mate = maximum_matching(g.n, _non_adjacency(g, verts))
     classes = [(u, mate[u]) for u in verts if mate[u] > u] + [
         (u,) for u in verts if mate[u] == -1
@@ -302,7 +303,7 @@ def chi_alpha2(g: Multigraph) -> tuple[int, PairColouring]:
     """
     if not alpha_at_most_2(g):
         raise PremiseError("graph has three pairwise non-adjacent vertices")
-    col = _optimal_colouring(g, tuple(range(g.n)))
+    col = _optimal_colouring(g)
     return len(col.classes), col
 
 
@@ -518,10 +519,6 @@ def verify_immersion(
     It additionally restricts every path to the union of its corners'
     classes, at most one corner per class; an implicit path never leaves its
     two corners, so only listed paths are walked for it.
-
-    A one-edge path closes its walk exactly when that edge joins its two
-    corners, so such paths are accepted by one comparison; every other path
-    is walked edge by edge.
     """
     failures: list[str] = []
     corners = imm.corners
@@ -564,13 +561,6 @@ def verify_immersion(
     broken: list[tuple[tuple[int, int], str]] = []
     for key in pairs:
         seq = listed[key]
-        if len(seq) == 1:
-            e = seq[0]
-            if 0 <= e < m and us[e] == key[0] and vs[e] == key[1]:
-                if tally[e]:
-                    reused.add(e)
-                tally[e] = 1
-                continue
         if not seq:
             broken.append((key, f"empty path for pair {key}"))
             continue
@@ -613,8 +603,9 @@ def verify_immersion(
         for cls in col.classes:
             for v in cls:
                 home[v] = cls
+        corner_set = set(corners)
         for cls in col.classes:
-            inside = [u for u in set(corners) if u in cls]
+            inside = set(cls) & corner_set
             if len(inside) > 1:
                 failures.append(f"class {cls} contains two corners {sorted(inside)}")
         uncovered = {u for u in distinct if u not in home}

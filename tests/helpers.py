@@ -13,7 +13,7 @@ from kchi.construct import (
     decorated_regions,
     restrict_out_degree,
 )
-from kchi.decorated import RegionPartition, critical_colouring
+from kchi.decorated import DecoratedColouring, RegionPartition, critical_colouring
 from kchi.errors import CertificateError
 from kchi.generators import emit_certificate
 from kchi.graphs import Multigraph
@@ -362,3 +362,67 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
         reference_lay_paths(g, direct, used, paths, implicit)
         corners = tuple(sorted(x_corners + y_corners))
     return corners
+
+
+def reference_step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring) -> list[str]:
+    """``decorated._step_audit`` as it was before a step visited only the
+    live vertices: every vertex at every step, with per-vertex mark lists.
+
+    Replay the induction and check the three per-step invariants:
+
+    * vertices marked at a step are pairwise non-adjacent in the graph
+      still alive at the later marking step (within a step: at that step);
+    * every vertex whose current degree equals the remaining palette size
+      is spanned by the edges consumed in that step;
+    * after each step, unmarked vertices keep degree ≤ remaining
+      free + reserve colours.
+    """
+    bad: list[str] = []
+    palette = regions.palette
+    step_of = [dec.step_of(e) for e in range(g.m)]
+
+    marks_of: dict[int, list[int]] = {}
+    for c, verts in dec.uncovered_at.items():
+        if not 0 <= c < palette:
+            bad.append(f"marking recorded for unknown colour {c}")
+            continue
+        for x in verts:
+            marks_of.setdefault(x, []).append(c)
+
+    us, vs = g.endpoint_columns
+    for e, (u, v) in enumerate(zip(us, vs)):
+        for i in marks_of.get(u, ()):
+            for j in marks_of.get(v, ()):
+                if step_of[e] >= max(i, j):
+                    bad.append(
+                        f"marked vertices {u} (step {i}) and {v} (step {j}) "
+                        f"joined by edge {e} still alive then"
+                    )
+
+    deg = list(g.degrees)
+    marked: set[int] = set()
+    for c in range(palette):
+        consumed = [e for e in range(g.m) if step_of[e] == c]
+        touched = set()
+        for e in consumed:
+            touched.add(us[e])
+            touched.add(vs[e])
+        for x in range(g.n):
+            if deg[x] == palette - c and x not in touched:
+                bad.append(f"step {c}: vertex {x} has full degree but is unspanned")
+        marked |= dec.uncovered_at.get(c, frozenset())
+        for e in consumed:
+            deg[us[e]] -= 1
+            deg[vs[e]] -= 1
+        for x in range(g.n):
+            if x in marked:
+                continue
+            slack = sum(1 for q in regions.free[x] if q > c) + sum(
+                1 for q in regions.reserve[x] if q > c
+            )
+            if deg[x] > slack:
+                bad.append(
+                    f"after step {c}: unmarked vertex {x} has degree {deg[x]} "
+                    f"above its remaining free+reserve {slack}"
+                )
+    return bad

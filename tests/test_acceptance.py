@@ -27,7 +27,13 @@ from kchi.factor import (
     max_f_bounded_subgraph,
 )
 from kchi.generators import gen_alpha2, gen_family, gen_multigraph
-from kchi.immersion import chi_alpha2, faithful_immersion, refine_split, verify_immersion
+from kchi.immersion import (
+    audit_refined,
+    chi_alpha2,
+    faithful_immersion,
+    refine_split,
+    verify_immersion,
+)
 from kchi.oracles import brute_chi, brute_immersion_exists
 
 from helpers import cocktail, complete, cycle, path, random_regions, star
@@ -182,9 +188,15 @@ def test_criterion_9_internal_audits(monkeypatch, small_corpus):
         construct_mod, "run_colouring_audits",
         spy("colouring", construct_mod.run_colouring_audits),
     )
-    monkeypatch.setattr(
-        construct_mod, "audit_refined", spy("refined", construct_mod.audit_refined)
-    )
+    # the refinement returns only colourings that meet the counting inequality
+    refine = construct_mod._refine_split
+
+    def refined(g, col):
+        out = refine(g, col)
+        spy("refined", audit_refined)(g, out)
+        return out
+
+    monkeypatch.setattr(construct_mod, "_refine_split", refined)
     monkeypatch.setattr(
         construct_mod, "audit_out_degree",
         spy("out_degree", construct_mod.audit_out_degree),

@@ -329,6 +329,39 @@ class TestStress:
         assert code == 1 and doc["verified"] == "0/3"
         assert [case["dump"] for case in doc["failures"]] == [{"k": 1}] * 3
 
+    @pytest.mark.parametrize("count", [5, 32])  # the serial path and the pool path
+    def test_a_case_that_raises_is_recorded_and_exits_3(self, run, monkeypatch, count):
+        import concurrent.futures
+
+        import kchi.cli
+        from kchi.errors import CertificateError
+
+        class InlinePool(concurrent.futures.Executor):
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        real, calls = kchi.cli.construct_immersion, []
+
+        def flaky(g):
+            calls.append(g)
+            if len(calls) == 2:
+                raise KeyError("simulated")
+            if len(calls) == 4:
+                raise CertificateError("simulated", dump={"k": 1})
+            return real(g)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(kchi.cli, "construct_immersion", flaky)
+        code, doc, err = run("stress", "--n", "6", "--count", str(count), "--seed", "0")
+        assert code == 3 and "error" not in doc
+        assert doc["verified"] == f"{count - 2}/{count}"
+        assert [case["case"] for case in doc["failures"]] == [1, 3]
+        key_error, certificate_error = doc["failures"]
+        assert key_error["failures"] == ["KeyError: 'simulated'"] and "dump" not in key_error
+        assert key_error["edge_list"].startswith(f"{key_error['n']} ")
+        assert certificate_error["dump"] == {"k": 1}
+        assert "internal fault in 1 case(s), first: case 1" in err and "Traceback" in err
+
     def test_campaigns_are_reproducible(self, run):
         a = run("stress", "--n", "14", "--count", "10", "--seed", "9")
         assert a == run("stress", "--n", "14", "--count", "10", "--seed", "9")

@@ -388,9 +388,7 @@ def toy_digraph(arcs, bridged, droppable, settled, corners=(20, 21)):
     """Three attached classes with inner halves 10+i and corners 13+i."""
     k = 3
     return BridgeDigraph(
-        owner=99,
         x_nodes=tuple((10 + i, 13 + i) for i in range(k)),
-        y_nodes=((18, 20), (19, 21))[: len(corners)],
         y_corners=tuple(corners),
         inner=tuple(10 + i for i in range(k)),
         corner=tuple(13 + i for i in range(k)),

@@ -19,7 +19,15 @@ from kchi.factor import _edge_handout, _solver_for
 from kchi.generators import gen_multigraph
 from kchi.graphs import Multigraph
 
-from helpers import cycle, complete, random_regions, random_simple, star
+from helpers import (
+    complete,
+    cycle,
+    random_multigraph,
+    random_regions,
+    random_simple,
+    reference_step_audit,
+    star,
+)
 
 
 def all_free(palette, n):
@@ -506,6 +514,78 @@ class TestStepAudit:
         ]
         assert _step_audit(g, reg, dec) == step
         assert validate_decorated(g, reg, dec).failures == ["f colour 5 outside the palette"] + step
+
+
+def _tampered(g, palette, dec, rng):
+    """``dec`` with some edges moved to random steps (some outside the
+    palette), and marks added, dropped, re-keyed and reordered."""
+    steps = range(-1, palette + 2)
+    reserved, relief, colour_of = dict(dec.reserved), dict(dec.relief), dict(dec.colour_of)
+    for e in range(g.m):
+        if rng.random() < 0.3:
+            for part in (reserved, relief, colour_of):
+                part.pop(e, None)
+            c, kind = rng.choice(steps), rng.randrange(3)
+            if kind == 0:
+                reserved[e] = (rng.choice(g.endpoints(e)), c)
+            elif kind == 1:
+                relief[e] = c
+            else:
+                colour_of[e] = c
+    marks = dict(dec.uncovered_at)
+    for _ in range(rng.randint(0, 4)):
+        c = rng.choice(steps) if rng.random() < 0.8 else rng.randint(palette + 2, palette + 9)
+        marks[c] = frozenset(x for x in range(g.n + 1) if rng.random() < 0.4)
+    for c in list(marks):
+        if rng.random() < 0.15:
+            del marks[c]
+    order = list(marks.items())
+    rng.shuffle(order)
+    return DecoratedColouring(reserved, relief, colour_of, dict(order))
+
+
+def _random_decoration(rng):
+    """A random host (n ≤ 9, parallel edges), palette ≤ 6 and regions, with
+    a real decoration from ``critical_colouring``, a tampered copy of one,
+    or random steps and marks."""
+    g = random_multigraph(rng.randint(1, 9), 3, rng.uniform(0.1, 0.7), rng)
+    palette = rng.randint(max(1, g.max_degree()), max(6, g.max_degree()))
+    dec = None
+    if g.max_degree() <= palette <= 6 and rng.random() < 0.6:
+        regions = random_regions(g, palette, rng)
+        try:
+            dec = critical_colouring(g, palette, regions)
+        except CertificateError:
+            pass
+    else:
+        palette = rng.randint(1, 6)
+        regions = random_regions(Multigraph(g.n, []), palette, rng)
+    if dec is None:
+        dec = DecoratedColouring({}, {}, {e: rng.randrange(palette) for e in range(g.m)}, {})
+        return g, regions, _tampered(g, palette, dec, rng)
+    return g, regions, dec if rng.random() < 0.3 else _tampered(g, palette, dec, rng)
+
+
+def test_step_audit_matches_the_per_vertex_reference():
+    """The live-vertex step audit lists the reference's failures, in order,
+    on small random decorations and on constructor-shaped edgeless graphs
+    (every conflict graph of the immerse_dense inputs has no edge)."""
+    rng = random.Random(20261020)
+    failing = 0
+    for case in range(5000):
+        g, regions, dec = _random_decoration(rng)
+        got = _step_audit(g, regions, dec)
+        assert got == reference_step_audit(g, regions, dec), case
+        failing += bool(got)
+    assert failing > 2000
+    for case in range(40):
+        n, palette = rng.randint(1, 150), rng.randint(1, 1500)
+        g = Multigraph(n, [])
+        regions = random_regions(g, palette, rng)
+        dec = critical_colouring(g, palette, regions)
+        if case % 2:
+            dec = _tampered(g, palette, dec, rng)
+        assert _step_audit(g, regions, dec) == reference_step_audit(g, regions, dec), case
 
 
 class TestCampaign:

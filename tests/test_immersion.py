@@ -506,6 +506,37 @@ class TestImplicitPaths:
         assert walk[4:] == [(0, 4), (1, 2)]
         assert list(imm.paths) == walk and len(imm.paths) == len(walk)
 
+    STOPS = "path for pair {} stops at {}, not at its endpoint {}"
+    REUSE = "edge reuse: identities {} appear in several paths"
+
+    @pytest.mark.parametrize(
+        "listed, failures",
+        [
+            # the lowest copy of the unlisted pair (0, 2), (0, 3) or (1, 2)
+            ({(0, 1): (2,)}, [STOPS.format((0, 1), 2, 1), REUSE.format([2])]),
+            ({(0, 1): (4,)}, [STOPS.format((0, 1), 3, 1), REUSE.format([4])]),
+            ({(1, 2): (6,), (1, 3): (6,)}, [STOPS.format((1, 3), 2, 3), REUSE.format([6])]),
+            # another listed pair's edge
+            ({(0, 1): (6,), (1, 2): (6,)}, ["path for pair (0, 1): edge 6 does not continue the walk"]),
+            ({(0, 1): (3,), (0, 2): (3,)}, [STOPS.format((0, 1), 2, 1), REUSE.format([3])]),
+            # unknown edge ids
+            ({(0, 1): (12,)}, ["path for pair (0, 1) uses unknown edge 12"]),
+            ({(0, 1): (-1,), (2, 3): (11,)}, ["path for pair (0, 1) uses unknown edge -1"]),
+            # an edge reused by a longer path, which also takes (1, 2)'s or (1, 3)'s lowest copy
+            ({(0, 1): (0,), (0, 2): (0, 6)}, [REUSE.format([0, 6])]),
+            ({(0, 1): (1,), (0, 3): (1, 8)}, [REUSE.format([1, 8])]),
+            # the spare copies of two pairs
+            ({(0, 1): (1,), (2, 3): (11,)}, []),
+        ],
+    )
+    def test_one_edge_listed_paths(self, listed, failures):
+        # doubled K4: copies of 0-1 are 0, 1, of 0-2 are 2, 3, of 0-3 are 4, 5,
+        # of 1-2 are 6, 7, of 1-3 are 8, 9 and of 2-3 are 10, 11
+        g = complete(4).doubled()
+        rep = verify_immersion(g, Immersion((0, 1, 2, 3), listed), 4)
+        assert rep.failures == failures
+        assert rep.details == {"listed": len(listed), "implicit": 6 - len(listed)}
+
     def test_implicit_pair_without_an_edge(self):
         g = cycle(5)  # corners 0 and 2 are not adjacent
         rep = verify_immersion(g, Immersion((0, 1, 2), {}), 3)
