@@ -2,19 +2,24 @@
 
 All commands put one JSON document on stdout and a short human log on
 stderr.  Exit code 0 means every verification in the run passed; 1 means a
-certificate or colouring was rejected; 2 means the input or the premise was
-bad, with a machine-readable ``{"error": ...}`` document on stdout; 3 means
-an internal fault (a ``CertificateError``, whose dump the document carries,
-or any other exception), reported by the same kind of document, with the
-traceback in the log.  A fault is never reported as 1 or 2.
+certificate read from a file was rejected; 2 means the input or the premise
+was bad, with a machine-readable ``{"error": ...}`` document on stdout; 3
+means an internal fault (a ``CertificateError``, whose dump the document
+carries, or any other exception), reported by the same kind of document,
+with the traceback in the log.  A fault is never reported as 1 or 2.
 
-``immerse`` and ``stress`` take their verdict from ``construct_immersion``,
-which replays every certificate it returns through ``verify_immersion``
-against χ and raises ``CertificateError`` otherwise; they do not replay it
-again.  ``stress`` records a failed case with its edge list and the fault's
-dump, when it has one, and finishes the campaign; it exits 3 if any case
-raised an exception outside the domain errors.  ``verify`` replays a
-certificate read from a file, independently of the constructor.
+``colour`` validates its own colouring and exits 0 or 3: a colouring that
+the validator rejects, that uses more than Δ colours or that has an even
+cycle is a ``CertificateError`` whose dump gives the first failures, the
+palette, Δ and the even cycles.  ``immerse`` and ``stress`` take their
+verdict from ``construct_immersion``, which replays every certificate it
+returns through ``verify_immersion`` against χ and raises
+``CertificateError`` otherwise; they do not replay it again.  ``stress``
+builds every case's graph itself, so any exception a case raises is a
+fault: the case is recorded with its edge list and the fault's dump, when
+it has one, the campaign finishes, and it exits 3 (0 when every case
+verified).  Only ``verify`` exits 1: it replays a certificate read from a
+file, independently of the constructor.
 """
 
 from __future__ import annotations
@@ -107,23 +112,35 @@ def _cmd_colour(args) -> int:
     g = _read_graph(args.graph)
     colouring = cycle_matching_colouring(g)  # r-bounded for every r ≥ 2
     report = validate_cm_colouring(g, colouring, r=args.r)
+    delta = g.max_degree()
+    even = report.details["even_cycles"]
+    problems = report.failures[:1]
+    if colouring.palette > delta:
+        problems.append(f"palette {colouring.palette} exceeds max degree {delta}")
+    if even:
+        problems.append(f"{len(even)} even cycle(s)")
+    if problems:  # --r is at least 2, so the colouring breaks its own contract
+        raise CertificateError(
+            "cycle-matching colouring failed its check: " + "; ".join(problems),
+            dump={
+                "failures": report.failures[:8],
+                "palette": colouring.palette,
+                "max_degree": delta,
+                "even_cycles": even[:8],
+            },
+        )
     _print_json(
         {
             "kind": "cm-colouring",
             "r": args.r,
             "palette": colouring.palette,
-            "max_degree": g.max_degree(),
+            "max_degree": delta,
             "classes": colouring.classes(),
             "verdict": _verdict(report),
         }
     )
-    log.info(
-        "%d colours for max degree %d — %s",
-        colouring.palette,
-        g.max_degree(),
-        "valid" if report.ok else "REJECTED",
-    )
-    return 0 if report.ok else 1
+    log.info("%d colours for max degree %d — valid", colouring.palette, delta)
+    return 0
 
 
 def _cmd_immerse(args) -> int:
@@ -219,17 +236,15 @@ def _stress_case(task: tuple[int, int, int, float | None]):
     g = gen_alpha2(n, d, rng.randrange(2**32))
     try:
         construct_immersion(g)  # replayed against χ inside, or raised
-    except Exception as exc:  # recorded, so the other cases still run
-        fault = not isinstance(exc, _DOMAIN_ERRORS)
-        if fault:
-            log.exception("internal fault in case %d", i)
+    except Exception as exc:  # g meets the premise, so this is a fault; the other cases still run
+        log.exception("internal fault in case %d", i)
         failures = [f"{type(exc).__name__}: {exc}"]
         record = {"case": i, "n": g.n, "edge_list": emit_edge_list(g), "failures": failures}
         dump = getattr(exc, "dump", None)
         if dump:
             record["dump"] = dump
-        return i, record, fault
-    return i, None, False
+        return record
+    return None
 
 
 def _cmd_stress(args) -> int:
@@ -239,8 +254,7 @@ def _cmd_stress(args) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor() as pool:
             results = list(pool.map(_stress_case, tasks, chunksize=max(1, args.count // 64)))
-    dumps = [dump for _, dump, _ in results if dump is not None]
-    faults = [i for i, _, fault in results if fault]
+    dumps = [dump for dump in results if dump is not None]
     ok = args.count - len(dumps)
     _print_json(
         {
@@ -256,11 +270,12 @@ def _cmd_stress(args) -> int:
     )
     log.info("%d/%d verified", ok, args.count)
     if dumps:
-        log.error("first counterexample: seed %d case %d", args.seed, dumps[0]["case"])
-    if faults:
-        log.error("internal fault in %d case(s), first: case %d", len(faults), faults[0])
+        log.error(
+            "internal fault in %d case(s), first: case %d (seed %d)",
+            len(dumps), dumps[0]["case"], args.seed,
+        )
         return 3
-    return 0 if ok == args.count else 1
+    return 0
 
 
 # -- wiring ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import CertificateError, PremiseError, SizeGuardError
 from .factor import _edge_handout, _FactorSolver, _solver_for
-from .graphs import Multigraph, components_of
+from .graphs import Multigraph, _touched_components
 from .reporting import ValidityReport
 
 
@@ -95,40 +95,47 @@ def validate_cm_colouring(g: Multigraph, colouring: CycleMatchingColouring, r: i
     For r = 2 the report details the edge/odd-cycle decomposition of each
     class; even cycles are valid 2-bounded classes but are flagged, since a
     strict cycle-matching (ocm) colouring excludes them.
+
+    Cost: one walk per class over that class's edges, which visits only the
+    vertices they touch, so O(m) in all.  Each component is reduced to its
+    least vertex, degree range and size; a sorted vertex tuple is built only
+    for an even cycle, which the report lists.
     """
     failures: list[str] = []
     details: dict = {"by_colour": {}, "even_cycles": []}
+    m, palette = g.m, colouring.palette
 
-    uncoloured = set(range(g.m)) - colouring.colour_of.keys()
+    uncoloured = set(range(m)) - colouring.colour_of.keys()
     if uncoloured:
         failures.append(f"uncoloured edges: {sorted(uncoloured)[:8]}")
 
     by_colour: dict[int, list[int]] = {}
     for e, c in colouring.colour_of.items():
-        if not 0 <= e < g.m:
+        if not 0 <= e < m:
             failures.append(f"unknown edge identity {e}")
-        elif not 0 <= c < colouring.palette:
+        elif not 0 <= c < palette:
             failures.append(f"edge {e} has colour {c} outside the palette")
         else:
             by_colour.setdefault(c, []).append(e)
 
     for c, ids in sorted(by_colour.items()):
         singles = odd = even = 0
-        for comp in components_of(g, ids):
-            if comp.trivial:
-                continue
-            if not comp.regular or comp.max_degree > r:
+        adj, comps = _touched_components(g, ids)
+        for verts in comps:
+            degs = [len(adj[x]) for x in verts]
+            lo, hi = min(degs), max(degs)
+            if lo != hi or hi > r:
                 failures.append(
-                    f"colour {c}: component at {comp.vertices[0]} has degrees "
-                    f"{comp.min_degree}..{comp.max_degree} (r = {r})"
+                    f"colour {c}: component at {verts[0]} has degrees {lo}..{hi} (r = {r})"
                 )
-            elif comp.max_degree == 1:
+            elif hi == 1:
                 singles += 1
-            elif comp.cycle_parity == "odd":
-                odd += 1
-            elif comp.cycle_parity == "even":
-                even += 1
-                details["even_cycles"].append((c, comp.vertices))
+            elif hi == 2:  # a cycle, with as many edges as vertices
+                if len(verts) % 2:
+                    odd += 1
+                else:
+                    even += 1
+                    details["even_cycles"].append((c, tuple(sorted(verts))))
         details["by_colour"][c] = {"edges": singles, "odd_cycles": odd, "even_cycles": even}
 
     return ValidityReport.from_failures(failures, details)

@@ -344,7 +344,10 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
     A step visits only the vertices with an edge left: degree 0 is below
     the remaining palette size (at least 1) and exceeds no slack.  Degrees
     only fall, so a vertex that leaves never comes back, and the replay
-    stops once none is left; on an edgeless graph it takes no step.
+    stops once none is left; on an edgeless graph it takes no step.  Marks
+    are never undone either, so an unmarked vertex with an edge left has
+    been visited at every step so far, and its slack is a count that drops
+    by one at each step whose colour is free or reserve at it.
     """
     bad: list[str] = []
     palette = regions.palette
@@ -356,26 +359,29 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
     marks = {c: xs for c, xs in dec.uncovered_at.items() if 0 <= c < palette}
 
     us, vs = g.endpoint_columns
-    for e, (u, v) in enumerate(zip(us, vs)):
-        at_u = [i for i, xs in marks.items() if u in xs]
+    consumed_at: dict[int, list[int]] = {}
+    for e, (u, v, s) in enumerate(zip(us, vs, step_of)):
+        consumed_at.setdefault(s, []).append(e)
+        at_u = [i for i, xs in marks.items() if i <= s and u in xs]  # edge e alive at step i
         if not at_u:
             continue
-        at_v = [j for j, xs in marks.items() if v in xs]
+        at_v = [j for j, xs in marks.items() if j <= s and v in xs]
         for i in at_u:
             for j in at_v:
-                if step_of[e] >= max(i, j):
-                    bad.append(
-                        f"marked vertices {u} (step {i}) and {v} (step {j}) "
-                        f"joined by edge {e} still alive then"
-                    )
+                bad.append(
+                    f"marked vertices {u} (step {i}) and {v} (step {j}) "
+                    f"joined by edge {e} still alive then"
+                )
 
     deg = list(g.degrees)
+    free, reserve = regions.free, regions.reserve
+    slack = [len(free[x]) + len(reserve[x]) for x in range(g.n)]  # free+reserve colours above c
     marked: set[int] = set()
     alive = [x for x in range(g.n) if deg[x]]
     for c in range(palette):
         if not alive:
             break
-        consumed = [e for e in range(g.m) if step_of[e] == c]
+        consumed = consumed_at.get(c, ())
         touched = {x for e in consumed for x in (us[e], vs[e])}
         for x in alive:
             if deg[x] == palette - c and x not in touched:
@@ -388,12 +394,11 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
         for x in alive:
             if x in marked:
                 continue
-            slack = sum(1 for q in regions.free[x] if q > c) + sum(
-                1 for q in regions.reserve[x] if q > c
-            )
-            if deg[x] > slack:
+            if c in free[x] or c in reserve[x]:
+                slack[x] -= 1
+            if deg[x] > slack[x]:
                 bad.append(
                     f"after step {c}: unmarked vertex {x} has degree {deg[x]} "
-                    f"above its remaining free+reserve {slack}"
+                    f"above its remaining free+reserve {slack[x]}"
                 )
     return bad

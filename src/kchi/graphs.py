@@ -350,6 +350,38 @@ def alpha_at_most_2(g: Multigraph) -> bool:
     return True
 
 
+def _touched_components(
+    g: Multigraph, ids: Iterable[int]
+) -> tuple[dict[int, list[int]], list[list[int]]]:
+    """The components of the vertices that the distinct edges ``ids`` touch.
+
+    Returns the neighbour list of each touched vertex, one entry per edge
+    (so its length is the degree), and, for each component by least vertex,
+    its vertex list, which starts at that least vertex.  Only touched
+    vertices are visited, so the cost is linear in the number of edges.
+    """
+    us, vs = g.endpoint_columns
+    adj: dict[int, list[int]] = {}
+    for e in ids:
+        u, v = us[e], vs[e]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        verts = [start]
+        for x in verts:  # grows while it is read: a breadth-first walk
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    verts.append(y)
+        comps.append(verts)
+    return adj, comps
+
+
 def components_of(g: Multigraph, edge_set: Iterable[int]) -> list[Component]:
     """Connected components of the spanning subgraph G[F].
 
@@ -357,40 +389,30 @@ def components_of(g: Multigraph, edge_set: Iterable[int]) -> list[Component]:
     by ``edge_set`` form trivial components.  Components are listed by their
     smallest vertex.
     """
-    f = set(edge_set)
+    f = sorted(set(edge_set))
     m = g.m
     for e in f:
         if not 0 <= e < m:
             raise GraphError(f"unknown edge identity {e}")
-    us, vs = g.endpoint_columns
-    inc = [[] for _ in range(g.n)]
+    adj, comps = _touched_components(g, f)
+    least = {x: verts[0] for verts in comps for x in verts}
+    edges: dict[int, list[int]] = {}
+    us = g.endpoint_columns[0]
     for e in f:
-        inc[us[e]].append(e)
-        inc[vs[e]].append(e)
-
-    seen = [False] * g.n
+        edges.setdefault(least[us[e]], []).append(e)
+    by_least = {verts[0]: verts for verts in comps}
     out = []
-    for start in range(g.n):
-        if seen[start]:
+    for v in range(g.n):
+        verts = by_least.get(v)
+        if verts is None:
+            if v not in adj:
+                out.append(Component(vertices=(v,), edge_ids=(), min_degree=0, max_degree=0))
             continue
-        seen[start] = True
-        verts = [start]
-        edges: set[int] = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for e in inc[x]:
-                edges.add(e)
-                y = vs[e] if us[e] == x else us[e]
-                if not seen[y]:
-                    seen[y] = True
-                    verts.append(y)
-                    stack.append(y)
-        degs = [len(inc[x]) for x in verts]
+        degs = [len(adj[x]) for x in verts]
         out.append(
             Component(
                 vertices=tuple(sorted(verts)),
-                edge_ids=tuple(sorted(edges)),
+                edge_ids=tuple(edges[v]),
                 min_degree=min(degs),
                 max_degree=max(degs),
             )

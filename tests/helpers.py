@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+from kchi.colouring import CycleMatchingColouring
 from kchi.construct import (
     assign_bridges,
     audit_out_degree,
@@ -16,7 +17,7 @@ from kchi.construct import (
 from kchi.decorated import DecoratedColouring, RegionPartition, critical_colouring
 from kchi.errors import CertificateError
 from kchi.generators import emit_certificate
-from kchi.graphs import Multigraph
+from kchi.graphs import Multigraph, components_of
 from kchi.immersion import (
     Immersion,
     PairColouring,
@@ -30,6 +31,7 @@ from kchi.immersion import (
     corner_labels,
     run_colouring_audits,
 )
+from kchi.reporting import ValidityReport
 
 
 def written_out(imm: Immersion) -> str:
@@ -426,3 +428,53 @@ def reference_step_audit(g: Multigraph, regions: RegionPartition, dec: Decorated
                     f"above its remaining free+reserve {slack}"
                 )
     return bad
+
+
+def reference_validate_cm_colouring(
+    g: Multigraph, colouring: CycleMatchingColouring, r: int = 2
+) -> ValidityReport:
+    """``colouring.validate_cm_colouring`` as it was before it walked only
+    the edges of each class: one ``components_of`` call per colour class.
+
+    Check that every colour class is regular of degree ≤ r per component.
+
+    For r = 2 the report details the edge/odd-cycle decomposition of each
+    class; even cycles are valid 2-bounded classes but are flagged, since a
+    strict cycle-matching (ocm) colouring excludes them.
+    """
+    failures: list[str] = []
+    details: dict = {"by_colour": {}, "even_cycles": []}
+
+    uncoloured = set(range(g.m)) - colouring.colour_of.keys()
+    if uncoloured:
+        failures.append(f"uncoloured edges: {sorted(uncoloured)[:8]}")
+
+    by_colour: dict[int, list[int]] = {}
+    for e, c in colouring.colour_of.items():
+        if not 0 <= e < g.m:
+            failures.append(f"unknown edge identity {e}")
+        elif not 0 <= c < colouring.palette:
+            failures.append(f"edge {e} has colour {c} outside the palette")
+        else:
+            by_colour.setdefault(c, []).append(e)
+
+    for c, ids in sorted(by_colour.items()):
+        singles = odd = even = 0
+        for comp in components_of(g, ids):
+            if comp.trivial:
+                continue
+            if not comp.regular or comp.max_degree > r:
+                failures.append(
+                    f"colour {c}: component at {comp.vertices[0]} has degrees "
+                    f"{comp.min_degree}..{comp.max_degree} (r = {r})"
+                )
+            elif comp.max_degree == 1:
+                singles += 1
+            elif comp.cycle_parity == "odd":
+                odd += 1
+            elif comp.cycle_parity == "even":
+                even += 1
+                details["even_cycles"].append((c, comp.vertices))
+        details["by_colour"][c] = {"edges": singles, "odd_cycles": odd, "even_cycles": even}
+
+    return ValidityReport.from_failures(failures, details)

@@ -55,6 +55,45 @@ class TestColour:
         assert code == 2 and doc["error"]["type"] == "UsageError"
         assert "--r" in doc["error"]["message"]
 
+    @staticmethod
+    def _colouring_fault(run, monkeypatch, graph, colour_of, palette):
+        """Run ``colour`` on ``graph`` with the constructor replaced by one
+        that returns the given colouring; a bad one is a fault, exit 3."""
+        import kchi.cli
+        from kchi.colouring import CycleMatchingColouring
+
+        monkeypatch.setattr(
+            kchi.cli, "cycle_matching_colouring", lambda g: CycleMatchingColouring(colour_of, palette)
+        )
+        code, doc, err = run("colour", stdin=graph)
+        assert code == 3 and "Traceback" in err
+        assert doc["error"]["type"] == "CertificateError"
+        return doc["error"]["message"], doc["error"]["dump"]
+
+    def test_a_rejected_colouring_is_a_fault(self, run, monkeypatch):
+        message, dump = self._colouring_fault(run, monkeypatch, "3 2\n0 1\n1 2\n", {0: 0, 1: 0}, 1)
+        assert "component at 0 has degrees 1..2" in message
+        assert dump == {
+            "failures": ["colour 0: component at 0 has degrees 1..2 (r = 2)"],
+            "palette": 1,
+            "max_degree": 2,
+            "even_cycles": [],
+        }
+
+    def test_a_palette_above_max_degree_is_a_fault(self, run, monkeypatch):
+        message, dump = self._colouring_fault(
+            run, monkeypatch, "3 3\n0 1\n1 2\n0 2\n", {0: 0, 1: 1, 2: 2}, 3
+        )
+        assert message.endswith("palette 3 exceeds max degree 2")
+        assert dump == {"failures": [], "palette": 3, "max_degree": 2, "even_cycles": []}
+
+    def test_an_even_cycle_is_a_fault(self, run, monkeypatch):
+        message, dump = self._colouring_fault(
+            run, monkeypatch, "4 4\n0 1\n1 2\n2 3\n0 3\n", {e: 0 for e in range(4)}, 1
+        )
+        assert message.endswith("1 even cycle(s)")
+        assert dump == {"failures": [], "palette": 1, "max_degree": 2, "even_cycles": [[0, [0, 1, 2, 3]]]}
+
 
 class TestImmerse:
     def test_c5_gives_verified_k3(self, run):
@@ -326,7 +365,7 @@ class TestStress:
 
         monkeypatch.setattr(kchi.cli, "construct_immersion", broken)
         code, doc, _ = run("stress", "--n", "6", "--count", "3", "--seed", "0")
-        assert code == 1 and doc["verified"] == "0/3"
+        assert code == 3 and doc["verified"] == "0/3"
         assert [case["dump"] for case in doc["failures"]] == [{"k": 1}] * 3
 
     @pytest.mark.parametrize("count", [5, 32])  # the serial path and the pool path
@@ -360,7 +399,7 @@ class TestStress:
         assert key_error["failures"] == ["KeyError: 'simulated'"] and "dump" not in key_error
         assert key_error["edge_list"].startswith(f"{key_error['n']} ")
         assert certificate_error["dump"] == {"k": 1}
-        assert "internal fault in 1 case(s), first: case 1" in err and "Traceback" in err
+        assert "internal fault in 2 case(s), first: case 1" in err and "Traceback" in err
 
     def test_campaigns_are_reproducible(self, run):
         a = run("stress", "--n", "14", "--count", "10", "--seed", "9")
@@ -407,7 +446,7 @@ class TestErrorDiscipline:
 
         # a stress campaign records the same fault as a failed case instead
         code, doc, _ = run("stress", "--n", "6", "--count", "2", "--seed", "0")
-        assert code == 1 and doc["verified"] == "0/2"
+        assert code == 3 and doc["verified"] == "0/2"
         assert doc["failures"][0]["failures"] == ["CertificateError: simulated"]
 
     @pytest.mark.parametrize(

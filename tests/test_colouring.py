@@ -12,9 +12,9 @@ from kchi.colouring import (
     validate_cm_colouring,
 )
 from kchi.errors import PremiseError, SizeGuardError
-from kchi.generators import gen_family
+from kchi.generators import gen_alpha2, gen_family
 from kchi.graphs import Multigraph, components_of
-from helpers import complete, cycle, path, random_multigraph, star
+from helpers import complete, cycle, path, random_multigraph, reference_validate_cm_colouring, star
 
 
 def assert_ocm(g, edge_set, require_spanning=True):
@@ -157,6 +157,57 @@ def test_validate_rejects_missing_edge():
 def test_validate_rejects_unknown_edges_and_colours(colour_of, failure):
     report = validate_cm_colouring(path(3), CycleMatchingColouring(colour_of, palette=1))
     assert failure in report.failures
+
+
+def _tampered_colouring(g, col, rng):
+    """``col`` with some edges recoloured (colours −1 to palette + 1),
+    dropped or joined by unknown identities."""
+    colour_of = dict(col.colour_of)
+    for e in range(g.m):
+        roll = rng.random()
+        if roll < 0.2:
+            colour_of[e] = rng.randrange(-1, col.palette + 2)
+        elif roll < 0.3:
+            colour_of.pop(e, None)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        colour_of[rng.choice((-1, g.m, g.m + 3))] = rng.randrange(max(col.palette, 1))
+    return CycleMatchingColouring(colour_of, col.palette)
+
+
+def _differential_colourings(rng):
+    """Real colourings of seeded multigraphs (n ≤ 12, parallel copies),
+    tampered copies of them and random colourings, then the colour_dense
+    benchmark inputs at seed 101."""
+    for _ in range(1000):
+        g = random_multigraph(rng.randint(1, 12), 3, rng.uniform(0.1, 0.8), rng)
+        col = cycle_matching_colouring(g)
+        yield g, col
+        yield g, _tampered_colouring(g, col, rng)
+        palette = rng.randint(1, 4)
+        yield g, CycleMatchingColouring({e: rng.randrange(palette) for e in range(g.m)}, palette)
+    seeds = random.Random(101)
+    for n, density in [(158, 0.2), (159, 0.4), (160, 0.6), (161, 0.8)]:
+        g = gen_alpha2(n, density, seeds.randrange(2**32))
+        yield g, cycle_matching_colouring(g)
+
+
+def test_validate_matches_the_per_class_reference():
+    """The one-walk validator gives the reference's report, failures in
+    order, for r = 1, 2, 3 on 3004 colourings."""
+    rng = random.Random(20261020)
+    seen = {"cases": 0, "rejected": 0, "even": 0, "odd": 0}
+    for g, col in _differential_colourings(rng):
+        seen["cases"] += 1
+        for r in (1, 2, 3):
+            got, want = validate_cm_colouring(g, col, r), reference_validate_cm_colouring(g, col, r)
+            assert (got.ok, got.failures, got.details) == (want.ok, want.failures, want.details), (
+                g.edges, col, r
+            )
+            seen["rejected"] += not got.ok
+            seen["even"] += bool(got.details["even_cycles"])
+            seen["odd"] += any(v["odd_cycles"] for v in got.details["by_colour"].values())
+    assert seen["cases"] == 3004
+    assert min(seen.values()) > 500, seen
 
 
 def test_brute_examples():
