@@ -20,11 +20,16 @@ edges; the digraph is built with exactly the arcs within that budget (detours
 whose reverse is absent first), and it records how many detours each class
 offers in all, which is what the out-degree audit checks.  Two opposite arcs
 would reuse the same inner-inner edge, so the double arcs form a conflict
-graph (``BridgeDigraph.conflict``) that is handed to the decorated
-cycle-matching colouring; its reserve/relief certificates say which arc of
-each conflicting pair to drop, reroute or share, after which every remaining
-corner pair takes its lowest free arc.  All of this is per construction step,
-and costs time in proportion to the arcs kept, not to the detours offered.
+graph (``BridgeDigraph.conflict``).  When it has an edge
+(``BridgeDigraph.contended``) it is handed to the decorated cycle-matching
+colouring, whose reserve/relief certificates say which arc of each
+conflicting pair to drop, reroute or share.  Almost every conflict graph
+has no edge; its decoration is then known in closed form
+(``DecoratedColouring.edgeless``), so no conflict graph, palette regions or
+validation is built for it, none of which would have anything to check.
+Then every remaining corner pair takes its lowest free arc.  All of this is
+per construction step, and costs time in proportion to the arcs kept, not to
+the detours offered.
 
 One blossom matching serves the whole construction: the top level reuses
 the colouring of ``chi_alpha2``, and every level below gets the restriction
@@ -66,7 +71,7 @@ from .decorated import (
 )
 from .errors import CertificateError, PremiseError
 from .gcpause import gc_paused
-from .graphs import Multigraph, components_of, iter_bits
+from .graphs import Multigraph, _touched_components, iter_bits
 from .immersion import (
     Immersion,
     PairColouring,
@@ -141,6 +146,13 @@ class BridgeDigraph:
     def arc_index(self) -> dict[tuple[int, tuple[str, int]], int]:
         """Each arc's index, keyed by (tail, head)."""
         return {(a.tail, a.head): k for k, a in enumerate(self.arcs)}
+
+    @property
+    def contended(self) -> bool:
+        """Whether some two opposite x-arcs are both kept, which is exactly
+        when ``conflict`` has an edge; read off the arcs, building no graph."""
+        kept = {(a.tail, a.head[1]) for a in self.arcs if a.head[0] == "x"}
+        return any((j, i) in kept for i, j in kept)
 
     @cached_property
     def conflict(self) -> Multigraph:
@@ -307,18 +319,13 @@ def decorated_regions(d: BridgeDigraph) -> RegionPartition:
     )
 
 
-def _cycle_order(h: Multigraph, comp) -> list[int]:
-    """Vertices of a cycle component in traversal order from its minimum."""
-    around: dict[int, list[int]] = {}
-    for e in comp.edge_ids:
-        u, w = h.endpoints(e)
-        around.setdefault(u, []).append(w)
-        around.setdefault(w, []).append(u)
-    start = comp.vertices[0]
+def _cycle_order(adj: dict[int, list[int]], start: int) -> list[int]:
+    """Vertices of a cycle component in traversal order from its minimum
+    ``start``, given the neighbour lists of its vertices."""
     order = [start]
     prev, at = -1, start
     while True:
-        step = min(w for w in around[at] if w != prev)
+        step = min(w for w in adj[at] if w != prev)
         if step == start:
             return order
         order.append(step)
@@ -330,15 +337,18 @@ def assign_bridges(
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """Translate the conflict-graph certificates into one route per (class, corner).
 
-    ``dec`` must come from ``critical_colouring`` on ``d.conflict`` with
-    ``decorated_regions(d)``, and ``d`` must pass ``restrict_out_degree``.
-    Returns a vertex route from every bridged far corner to its class corner
-    such that each arc carries at most one route, opposite arcs never both
-    use the inner-inner edge, and reserve tags drop the arcs they name.
+    ``dec`` must decorate ``d.conflict`` under ``decorated_regions(d)``: the
+    output of ``critical_colouring`` when ``d.contended``, and otherwise
+    ``DecoratedColouring.edgeless``, which names no conflict edge.  ``d``
+    must pass ``restrict_out_degree``.  Returns a vertex route from every
+    bridged far corner to its class corner such that each arc carries at
+    most one route, opposite arcs never both use the inner-inner edge, and
+    reserve tags drop the arcs they name.  The conflict graph and the arc
+    index are built only when ``dec`` names an edge.
     """
-    h = d.conflict
+    # built only when the certificates name a conflict edge; so is the arc index
+    h = d.conflict if dec.reserved or dec.relief or dec.colour_of else None
     y_of = d.y_corners
-    arc_at = d.arc_index
     state = ["free"] * len(d.arcs)
     detour: dict[int, int] = {}
     routes: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -346,7 +356,7 @@ def assign_bridges(
 
     def x_arc(i: int, j: int) -> int:
         try:
-            return arc_at[(i, ("x", j))]
+            return d.arc_index[(i, ("x", j))]
         except KeyError:
             raise CertificateError(
                 "certificate names an absent arc", dump={"tail": i, "head": j}
@@ -377,14 +387,11 @@ def assign_bridges(
         relief_by.setdefault(c, []).append(e)
     for c, ids in sorted(relief_by.items()):
         y = y_of[c]
-        for comp in components_of(h, ids):
-            if comp.trivial:
-                continue
-            mid = next(
-                x for x in comp.vertices
-                if sum(x in h.endpoints(e) for e in comp.edge_ids) == 2
-            )
-            ends = [x for x in comp.vertices if x != mid]
+        adj, comps = _touched_components(h, ids)
+        for verts in comps:
+            verts = sorted(verts)
+            mid = next(x for x in verts if len(adj[x]) == 2)
+            ends = [x for x in verts if x != mid]
             far = next(x for x in ends if y in d.settled[x])
             near = next(x for x in ends if y in d.bridged[x])
             claim(near, y, (y, inner[mid], corner[near]), x_arc(near, mid))
@@ -396,11 +403,10 @@ def assign_bridges(
         colour_by.setdefault(c, []).append(e)
     for c, ids in sorted(colour_by.items()):
         y = y_of[c]
-        for comp in components_of(h, ids):
-            if comp.trivial:
-                continue
-            if comp.cycle_parity == "odd":
-                order = _cycle_order(h, comp)
+        adj, comps = _touched_components(h, ids)
+        for verts in comps:
+            if len(verts) % 2 and all(len(adj[x]) == 2 for x in verts):  # an odd cycle
+                order = _cycle_order(adj, verts[0])
                 for t, a in enumerate(order):
                     b = order[(t + 1) % len(order)]
                     if y not in d.bridged[b]:
@@ -410,12 +416,12 @@ def assign_bridges(
                         )
                     claim(b, y, (y, inner[a], corner[b]), x_arc(b, a))
                 continue
-            if len(comp.edge_ids) != 1:
+            if len(verts) != 2 or len(adj[verts[0]]) != 1:
                 raise CertificateError(
                     "colour class component is neither an edge nor an odd cycle",
-                    dump={"vertices": comp.vertices, "colour": c},
+                    dump={"vertices": tuple(sorted(verts)), "colour": c},
                 )
-            i, j = h.endpoints(comp.edge_ids[0])
+            i, j = verts  # the least vertex first, as the edge's endpoints
             if y in d.droppable[i]:
                 drop(x_arc(i, j))
             if y in d.droppable[j]:
@@ -529,18 +535,22 @@ def _immerse(
                     dump={"owner": v, "failures": bad[:6]},
                 )
             restrict_out_degree(d)
-            h = d.conflict
-            regions = decorated_regions(d)
-            dec = critical_colouring(h, len(d.y_corners), regions)
-            rep = validate_decorated(h, regions, dec)
-            if not rep.ok:
-                raise CertificateError(
-                    "conflict-graph colouring failed its own validator",
-                    dump={"owner": v, "failures": rep.failures[:6]},
-                )
+            if d.contended:
+                h, regions = d.conflict, decorated_regions(d)
+                dec = critical_colouring(h, len(d.y_corners), regions)
+                rep = validate_decorated(h, regions, dec)
+                if not rep.ok:
+                    raise CertificateError(
+                        "conflict-graph colouring failed its own validator",
+                        dump={"owner": v, "failures": rep.failures[:6]},
+                    )
+            else:
+                # no conflict edge: nothing to validate, and the regions
+                # partition each palette by ``settled``'s definition
+                dec = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
             routes = assign_bridges(d, dec)
             for i, bridged in enumerate(d.bridged):
-                bridges += [routes[(i, y)] for y in d.y_corners if y in bridged]
+                bridges += [routes[(i, y)] for y in sorted(bridged)]
         _require_adjacent(g, col.singletons, _bits(corners))
         _lay_paths(g, bridges, used, paths)
 

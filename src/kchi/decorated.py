@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, PremiseError
 from .factor import _edge_handout, _solver_for
-from .graphs import Multigraph, components_of
+from .graphs import Multigraph, _touched_components
 from .reporting import ValidityReport
 
 
@@ -88,6 +88,12 @@ class DecoratedColouring:
             return self.relief[e]
         return self.colour_of[e]
 
+    @classmethod
+    def edgeless(cls, n: int, palette: int) -> "DecoratedColouring":
+        """The decoration of an edgeless graph on ``n`` vertices: no tag, and
+        every step marks every vertex."""
+        return cls({}, {}, {}, dict.fromkeys(range(palette), frozenset(range(n))))
+
 
 _TIEBREAK_SALTS = 8
 
@@ -103,7 +109,8 @@ def critical_colouring(g: Multigraph, palette: int, regions: RegionPartition) ->
     Colours are processed in ascending order; all choices are deterministic
     (lowest qualifying vertex, scan order along the canonical cycle).  Once
     the edges run out, the remaining colours are not stepped through: each
-    marks every vertex, as a step on the empty graph would.
+    marks every vertex, as a step on the empty graph would, so an edgeless
+    input gets :meth:`DecoratedColouring.edgeless`.
 
     The covering priority almost always keeps marked vertices pairwise
     non-adjacent, but rare configurations force a clash.  Those are retried
@@ -119,6 +126,8 @@ def critical_colouring(g: Multigraph, palette: int, regions: RegionPartition) ->
             raise PremiseError(
                 f"vertex {x}: free + reserve colours ({slack}) below degree {g.degree(x)}"
             )
+    if not g.m:
+        return DecoratedColouring.edgeless(g.n, palette)
 
     clash = None
     for salt in range(_TIEBREAK_SALTS):
@@ -287,14 +296,15 @@ def validate_decorated(g: Multigraph, regions: RegionPartition, dec: DecoratedCo
             continue
         relief_by_colour.setdefault(c, []).append(e)
     for c, ids in sorted(relief_by_colour.items()):
-        for comp in components_of(g, ids):
-            if comp.trivial:
+        adj, comps = _touched_components(g, ids)
+        for verts in comps:
+            verts = sorted(verts)
+            degs = [len(adj[x]) for x in verts]
+            if sum(degs) != 4 or len(verts) != 3 or max(degs) != 2:
+                failures.append(f"β colour {c}: component {tuple(verts)} is not a length-2 path")
                 continue
-            if len(comp.edge_ids) != 2 or len(comp.vertices) != 3 or comp.max_degree != 2:
-                failures.append(f"β colour {c}: component {comp.vertices} is not a length-2 path")
-                continue
-            mid = next(x for x in comp.vertices if sum(x in g.endpoints(e) for e in comp.edge_ids) == 2)
-            ends = [x for x in comp.vertices if x != mid]
+            mid = verts[degs.index(2)]
+            ends = [x for x in verts if x != mid]
             if c not in free[mid]:
                 failures.append(f"β colour {c}: middle vertex {mid} lacks it as free")
             pattern_ok = any(
@@ -302,7 +312,7 @@ def validate_decorated(g: Multigraph, regions: RegionPartition, dec: DecoratedCo
             )
             if not pattern_ok:
                 failures.append(f"β colour {c}: endpoints {ends} lack the free/blocked pattern")
-            for x in comp.vertices:
+            for x in verts:
                 if not isolated_in_class(x, c):
                     failures.append(f"β vertex {x} not isolated in colour class {c}")
 
@@ -311,20 +321,21 @@ def validate_decorated(g: Multigraph, regions: RegionPartition, dec: DecoratedCo
         if not 0 <= c < palette:
             failures.append(f"f colour {c} outside the palette")
             continue
-        for comp in components_of(g, ids):
-            if comp.trivial:
+        adj, comps = _touched_components(g, ids)
+        for verts in comps:
+            degs = {len(adj[x]) for x in verts}
+            if degs == {1}:  # a single edge
                 continue
-            if comp.regular and comp.max_degree == 1:
-                continue
-            if comp.cycle_parity == "odd":
-                for x in comp.vertices:
+            verts = sorted(verts)
+            if degs == {2} and len(verts) % 2:  # an odd cycle, as many edges as vertices
+                for x in verts:
                     if c not in free[x]:
                         failures.append(
                             f"odd cycle of colour {c} visits vertex {x} without it free"
                         )
             else:
                 failures.append(
-                    f"colour {c}: component {comp.vertices} is neither an edge nor an odd cycle"
+                    f"colour {c}: component {tuple(verts)} is neither an edge nor an odd cycle"
                 )
 
     failures.extend(_step_audit(g, regions, dec))
@@ -359,13 +370,19 @@ def _step_audit(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
     marks = {c: xs for c, xs in dec.uncovered_at.items() if 0 <= c < palette}
 
     us, vs = g.endpoint_columns
+    ends = set(us)
+    ends.update(vs)
+    marks_of: dict[int, list[int]] = {}  # the marking steps of each edge end, in mark order
+    for c, xs in marks.items():
+        for x in ends.intersection(xs):
+            marks_of.setdefault(x, []).append(c)
     consumed_at: dict[int, list[int]] = {}
     for e, (u, v, s) in enumerate(zip(us, vs, step_of)):
         consumed_at.setdefault(s, []).append(e)
-        at_u = [i for i, xs in marks.items() if i <= s and u in xs]  # edge e alive at step i
+        at_u = [i for i in marks_of.get(u, ()) if i <= s]  # edge e alive at step i
         if not at_u:
             continue
-        at_v = [j for j, xs in marks.items() if j <= s and v in xs]
+        at_v = [j for j in marks_of.get(v, ()) if j <= s]
         for i in at_u:
             for j in at_v:
                 bad.append(

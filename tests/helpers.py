@@ -14,7 +14,7 @@ from kchi.construct import (
     decorated_regions,
     restrict_out_degree,
 )
-from kchi.decorated import DecoratedColouring, RegionPartition, critical_colouring
+from kchi.decorated import DecoratedColouring, RegionPartition, _step_audit, critical_colouring
 from kchi.errors import CertificateError
 from kchi.generators import emit_certificate
 from kchi.graphs import Multigraph, components_of
@@ -478,3 +478,101 @@ def reference_validate_cm_colouring(
         details["by_colour"][c] = {"edges": singles, "odd_cycles": odd, "even_cycles": even}
 
     return ValidityReport.from_failures(failures, details)
+
+
+def reference_validate_decorated(
+    g: Multigraph, regions: RegionPartition, dec: DecoratedColouring
+) -> ValidityReport:
+    """``decorated.validate_decorated`` as it was before its β and f clauses
+    walked only the edges of each class: one ``components_of`` call per
+    class.  Exhaustively check every clause the decorated colouring promises."""
+    failures: list[str] = []
+    palette = regions.palette
+    free, reserve, blocked = regions.free, regions.reserve, regions.blocked
+
+    all_ids = set(range(g.m))
+    domains = [set(dec.reserved), set(dec.relief), set(dec.colour_of)]
+    if domains[0] & domains[1] or domains[0] & domains[2] or domains[1] & domains[2]:
+        failures.append("reserved/relief/coloured edge sets overlap")
+    missing = all_ids - domains[0] - domains[1] - domains[2]
+    if missing:
+        failures.append(f"edges assigned nowhere: {sorted(missing)[:8]}")
+    for name, dom in zip(("reserved", "relief", "coloured"), domains):
+        if dom - all_ids:
+            failures.append(f"{name} refers to unknown edges {sorted(dom - all_ids)[:8]}")
+    if failures:
+        return ValidityReport.from_failures(failures)
+
+    by_colour: dict[int, list[int]] = {}
+    for e, c in dec.colour_of.items():
+        by_colour.setdefault(c, []).append(e)
+
+    def isolated_in_class(x: int, c: int) -> bool:
+        return all(x not in g.endpoints(e) for e in by_colour.get(c, ()))
+
+    # α: injective, endpoint, reserve colour, isolation
+    seen_tags: set[tuple[int, int]] = set()
+    for e, (x, c) in sorted(dec.reserved.items()):
+        if (x, c) in seen_tags:
+            failures.append(f"α not injective: tag ({x}, {c}) repeated")
+        seen_tags.add((x, c))
+        if x not in g.endpoints(e):
+            failures.append(f"α tag vertex {x} is not an endpoint of edge {e}")
+        if not 0 <= c < palette:
+            failures.append(f"α colour {c} outside the palette")
+            continue
+        if c not in reserve[x]:
+            failures.append(f"α uses colour {c} not in reserve of vertex {x}")
+        if not isolated_in_class(x, c):
+            failures.append(f"α vertex {x} not isolated in colour class {c}")
+
+    # β: per colour, vertex-disjoint cherries with the free/free/blocked pattern
+    relief_by_colour: dict[int, list[int]] = {}
+    for e, c in dec.relief.items():
+        if not 0 <= c < palette:
+            failures.append(f"β colour {c} outside the palette")
+            continue
+        relief_by_colour.setdefault(c, []).append(e)
+    for c, ids in sorted(relief_by_colour.items()):
+        for comp in components_of(g, ids):
+            if comp.trivial:
+                continue
+            if len(comp.edge_ids) != 2 or len(comp.vertices) != 3 or comp.max_degree != 2:
+                failures.append(f"β colour {c}: component {comp.vertices} is not a length-2 path")
+                continue
+            mid = next(x for x in comp.vertices if sum(x in g.endpoints(e) for e in comp.edge_ids) == 2)
+            ends = [x for x in comp.vertices if x != mid]
+            if c not in free[mid]:
+                failures.append(f"β colour {c}: middle vertex {mid} lacks it as free")
+            pattern_ok = any(
+                c in free[a] and c in blocked[b] for a, b in (ends, ends[::-1])
+            )
+            if not pattern_ok:
+                failures.append(f"β colour {c}: endpoints {ends} lack the free/blocked pattern")
+            for x in comp.vertices:
+                if not isolated_in_class(x, c):
+                    failures.append(f"β vertex {x} not isolated in colour class {c}")
+
+    # f: strict cycle-matching classes; odd cycles confined to free vertices
+    for c, ids in sorted(by_colour.items()):
+        if not 0 <= c < palette:
+            failures.append(f"f colour {c} outside the palette")
+            continue
+        for comp in components_of(g, ids):
+            if comp.trivial:
+                continue
+            if comp.regular and comp.max_degree == 1:
+                continue
+            if comp.cycle_parity == "odd":
+                for x in comp.vertices:
+                    if c not in free[x]:
+                        failures.append(
+                            f"odd cycle of colour {c} visits vertex {x} without it free"
+                        )
+            else:
+                failures.append(
+                    f"colour {c}: component {comp.vertices} is neither an edge nor an odd cycle"
+                )
+
+    failures.extend(_step_audit(g, regions, dec))
+    return ValidityReport.from_failures(failures, details={"classes": len(by_colour)})

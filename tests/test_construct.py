@@ -586,6 +586,67 @@ class TestEngineeredHosts:
             assert rep.ok, rep.failures
 
 
+def contention_corpus():
+    """Per host, the restricted bridge digraphs that ``assign_bridges`` got
+    and the number of ``critical_colouring`` calls, while constructing 600
+    seeded ``gen_alpha2`` hosts (n ≤ 60), the two hosts that take the
+    length-4 detour and ``gen_alpha2(601, 0.8, 912151271)`` (last)."""
+    rng = random.Random(20261023)
+    specs = [(1 + i % 60, rng.random(), rng.randrange(2**32)) for i in range(600)]
+    specs += [(11, 0.37584929805804157, 601180945), (11, 0.4729279253079284, 152907695)]
+    specs += [(601, 0.8, 912151271)]
+    seen = []
+    original_assign = kchi.construct.assign_bridges
+    original_critical = kchi.construct.critical_colouring
+
+    def assign(d, dec):
+        seen[-1][0].append(d)
+        return original_assign(d, dec)
+
+    def critical(*args):
+        seen[-1][1] += 1
+        return original_critical(*args)
+
+    kchi.construct.assign_bridges = assign
+    kchi.construct.critical_colouring = critical
+    try:
+        for spec in specs:
+            seen.append([[], 0])
+            construct_immersion(gen_alpha2(*spec))
+    finally:
+        kchi.construct.assign_bridges = original_assign
+        kchi.construct.critical_colouring = original_critical
+    return seen
+
+
+class TestContention:
+    def test_opposite_kept_x_arcs_make_a_digraph_contended(self):
+        settled = [{20, 21}] * 3
+        assert toy_digraph(x_arcs((0, 1), (1, 0)), [set()] * 3, [set()] * 3, settled).contended
+        assert not toy_digraph(x_arcs((0, 1), (1, 2), (2, 0)), [set()] * 3, [set()] * 3, settled).contended
+        y_only = [BridgeArc(0, ("y", 1), 18), BridgeArc(1, ("y", 0), 19)]
+        assert not toy_digraph(y_only, [set()] * 3, [set()] * 3, settled).contended
+
+    def test_an_edgeless_decoration_builds_no_conflict_graph(self):
+        d = toy_digraph(x_arcs((0, 1), (1, 2)), [{20}, {20}, set()], [set()] * 3, [{21}, {21}, {20, 21}])
+        assert assign_bridges(d, DecoratedColouring.edgeless(3, 2)) == {
+            (0, 20): (20, 10, 11, 13),
+            (1, 20): (20, 11, 12, 14),
+        }
+        assert "conflict" not in vars(d) and "arc_index" not in vars(d)
+
+    def test_only_contended_owners_are_decorated(self):
+        seen = contention_corpus()
+        contended = 0
+        for digraphs, calls in seen:
+            for d in digraphs:
+                assert d.contended == (d.conflict.m > 0)
+            assert calls == sum(d.contended for d in digraphs)
+            contended += calls
+        assert seen[-1][0] and seen[-1][1] == 0  # the n = 601 host has owners, none contended
+        assert contended >= 1
+
+
 # sha256 over the certificates of six near-complete ``gen_alpha2`` hosts,
 # written out in full (recorded once each level handed down the restriction
 # of its own colouring, before lowest-id edges were left implicit) and as written

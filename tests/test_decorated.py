@@ -26,6 +26,7 @@ from helpers import (
     random_regions,
     random_simple,
     reference_step_audit,
+    reference_validate_decorated,
     star,
 )
 
@@ -155,6 +156,20 @@ class TestCriticalColouring:
         everyone = frozenset(range(4))
         assert dec == DecoratedColouring({}, {}, {}, {c: everyone for c in range(5)})
         assert validate_decorated(g, reg, dec).ok
+
+    def test_edgeless_graphs_get_the_closed_form_decoration(self):
+        rng = random.Random(20261022)
+        for n in range(13):
+            g = Multigraph(n, [])
+            for palette in range(7):
+                for _ in range(3):
+                    regions = random_regions(g, palette, rng)
+                    dec = critical_colouring(g, palette, regions)
+                    assert dec == DecoratedColouring.edgeless(n, palette)
+                    assert dec == DecoratedColouring(
+                        {}, {}, {}, {c: frozenset(range(n)) for c in range(palette)}
+                    )
+                    assert validate_decorated(g, regions, dec).ok
 
     def test_edges_run_out_before_the_palette(self):
         # K_{1,3} with six colours: the star is spent after three steps, and
@@ -586,6 +601,21 @@ def test_step_audit_matches_the_per_vertex_reference():
         if case % 2:
             dec = _tampered(g, palette, dec, rng)
         assert _step_audit(g, regions, dec) == reference_step_audit(g, regions, dec), case
+
+
+def test_validator_matches_the_component_reference():
+    """The β and f clauses, walking only each class's edges, list the
+    reference's failures in order, on the step audit's corpus."""
+    rng = random.Random(20261021)
+    beta = f_clause = 0
+    for case in range(3000):
+        g, regions, dec = _random_decoration(rng)
+        got = validate_decorated(g, regions, dec)
+        want = reference_validate_decorated(g, regions, dec)
+        assert (got.ok, got.failures, got.details) == (want.ok, want.failures, want.details), case
+        beta += any(f.startswith("β") for f in got.failures)
+        f_clause += any("neither an edge" in f or "without it free" in f for f in got.failures)
+    assert beta > 300 and f_clause > 300, (beta, f_clause)
 
 
 class TestCampaign:
