@@ -86,7 +86,9 @@ print("\nroutes (far corner → … → class corner):")
 for (i, y), walk in sorted(routes.items()):
     print(f"  class {i}, far corner {y}: {' → '.join(map(str, walk))}")
 
-# the constructor runs the same pipeline at every level of its chain
+# the constructor runs the same pipeline for every owner whose conflict graph
+# has an edge, as this one does; any other owner's routes, stage 4's lowest
+# free arcs, are read straight off its arc selection with no digraph built
 imm = construct_immersion(g)
 assert verify_immersion(g, imm, chi).ok
 assert set(imm.corners) >= {7, 9, 10}

@@ -20,16 +20,18 @@ edges; the digraph is built with exactly the arcs within that budget (detours
 whose reverse is absent first), and it records how many detours each class
 offers in all, which is what the out-degree audit checks.  Two opposite arcs
 would reuse the same inner-inner edge, so the double arcs form a conflict
-graph (``BridgeDigraph.conflict``).  When it has an edge
-(``BridgeDigraph.contended``) it is handed to the decorated cycle-matching
-colouring, whose reserve/relief certificates say which arc of each
-conflicting pair to drop, reroute or share.  Almost every conflict graph
-has no edge; its decoration is then known in closed form
-(``DecoratedColouring.edgeless``), so no conflict graph, palette regions or
-validation is built for it, none of which would have anything to check.
-Then every remaining corner pair takes its lowest free arc.  All of this is
-per construction step, and costs time in proportion to the arcs kept, not to
-the detours offered.
+graph (``BridgeDigraph.conflict``).  When it has an edge (the owner is
+contended: two opposite arcs are both kept) it is handed to the decorated
+cycle-matching colouring, whose reserve/relief certificates say which arc
+of each conflicting pair to drop, reroute or share.  Then every remaining
+corner pair takes its lowest free arc.  Almost no owner is contended.  The
+budget, the audits and the arc selection run on masks for every owner
+(``_owner_core``), and an uncontended owner's bridges have a closed form
+read straight off those masks: with no conflict edge every bridged far
+corner takes its node's next kept arc, so no digraph, conflict graph,
+palette regions or validation is built for it, none of which would have
+anything to check.  All of this is per construction step, and costs time
+in proportion to the arcs kept, not to the detours offered.
 
 One blossom matching serves the whole construction: the top level reuses
 the colouring of ``chi_alpha2``, and every level below gets the restriction
@@ -118,7 +120,9 @@ class BridgeDigraph:
     Node i's arc budget is ``len(bridged[i]) + len(droppable[i])``, and
     ``offers[i]`` counts every detour node i has.  ``arcs`` may list fewer:
     ``build_bridge_digraph`` lists exactly the budget of each node, and
-    ``restrict_out_degree`` checks that it did.
+    ``restrict_out_degree`` checks that it did.  The constructor builds one
+    only for a contended owner; every other owner's bridges are read off
+    the same selection as masks (``_owner_bridges``).
     """
 
     x_nodes: tuple[tuple[int, int], ...]
@@ -179,16 +183,44 @@ def _lowest_bits(mask: int, count: int) -> int:
     return out
 
 
-def build_bridge_digraph(
+class _OwnerCore(NamedTuple):
+    """One owner's attached classes as masks, node by node.
+
+    ``bridged[i]`` and ``droppable[i]`` are far-corner masks, ``budget[i]``
+    is their combined size and ``offers[i]`` counts every detour node i has.
+    ``x_kept[i]`` is the mask of the heads of node i's kept x-arcs, and
+    ``y_arcs[i]`` lists its kept y-arcs as (detached class, mid).
+    ``build_bridge_digraph`` materialises these; ``_owner_bridges`` reads
+    them as they are.
+    """
+
+    x_nodes: tuple[tuple[int, int], ...]
+    inner: tuple[int, ...]
+    corner: tuple[int, ...]
+    bridged: list[int]
+    droppable: list[int]
+    budget: list[int]
+    offers: list[int]
+    x_kept: list[int]
+    y_arcs: list[list[tuple[int, int]]]
+
+    @property
+    def contended(self) -> bool:
+        """Whether some two opposite x-arcs are both kept."""
+        x_kept = self.x_kept
+        return any(x_kept[j] >> i & 1 for i, heads in enumerate(x_kept) for j in iter_bits(heads))
+
+
+def _owner_core(
     g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
-) -> BridgeDigraph:
-    """Assemble the detour digraph of owner ``v`` against the far corners.
+) -> _OwnerCore:
+    """Sort owner ``v``'s far corners by type and select its arcs, as masks.
 
     Every detour is counted in ``offers``, but only the arcs within each
-    node's budget are built.  Plain x-arcs (whose reverse is absent) are kept
+    node's budget are kept.  Plain x-arcs (whose reverse is absent) are kept
     first, then y-arcs, then mutual x-arcs, each kind lowest first, so that
     as few conflicting pairs as possible survive; any selection would be
-    correct.  x-arcs are listed before y-arcs, by head and by detached class.
+    correct.
     """
     if v not in col.singletons:
         raise PremiseError(f"owner {v} is not a singleton class")
@@ -198,8 +230,7 @@ def build_bridge_digraph(
     corner = tuple(labels[cls] for cls in x_nodes)
 
     far_corners = _bits(y_corners)
-    far_set = frozenset(y_corners)
-    bridged, droppable, settled = [], [], []
+    bridged, droppable = [], []
     for i in range(len(x_nodes)):
         at_corner = g.adjacency_mask(corner[i]) & far_corners
         at_inner = g.adjacency_mask(inner[i]) & far_corners
@@ -209,9 +240,8 @@ def build_bridge_digraph(
                 "far corner sees neither half of an attached class",
                 dump={"corner": (missed & -missed).bit_length() - 1, "class": x_nodes[i]},
             )
-        bridged.append(frozenset(iter_bits(at_inner & ~at_corner)))
-        droppable.append(frozenset(iter_bits(at_corner & ~at_inner)))
-        settled.append(far_set - bridged[i] - droppable[i])  # sees both halves
+        bridged.append(at_inner & ~at_corner)
+        droppable.append(at_corner & ~at_inner)
 
     # both[i]: the vertices adjacent to both halves of attached class i
     both = [g.adjacency_mask(a) & g.adjacency_mask(b) for a, b in x_nodes]
@@ -232,56 +262,104 @@ def build_bridge_digraph(
     y_mids = col._detached_halves[0] & ~far_corners
     open_pairs = [(p, q) for p, q in col.detached if not (far_corners >> p | far_corners >> q) & 1]
 
-    arcs = []
-    offers = []
+    budgets, offers, x_kept, y_arcs = [], [], [], []
     for i in range(len(x_nodes)):
-        budget = len(bridged[i]) + len(droppable[i])
+        budget = bridged[i].bit_count() + droppable[i].bit_count()
         mids = both[i] & ~far_corners
         n_y = (mids & y_mids).bit_count()
         if open_pairs:
             n_y -= sum(mids >> p & mids >> q & 1 for p, q in open_pairs)
+        budgets.append(budget)
         offers.append(heads[i].bit_count() + n_y)
 
         plain = heads[i] & ~tails[i]
         room = max(budget - plain.bit_count(), 0)
         y_kept = min(n_y, room)
-        x_kept = _lowest_bits(plain, budget) | _lowest_bits(heads[i] & tails[i], room - y_kept)
-        for j in iter_bits(x_kept):
-            arcs.append(BridgeArc(i, ("x", j), inner[j]))
+        x_kept.append(_lowest_bits(plain, budget) | _lowest_bits(heads[i] & tails[i], room - y_kept))
+        ys = []
         if y_kept:
             for k, (p, q) in enumerate(col.detached):  # the lower mid first
                 if mids >> p & 1:
-                    arcs.append(BridgeArc(i, ("y", k), p))
+                    ys.append((k, p))
                 elif mids >> q & 1:
-                    arcs.append(BridgeArc(i, ("y", k), q))
+                    ys.append((k, q))
                 else:
                     continue
-                y_kept -= 1
-                if not y_kept:
+                if len(ys) == y_kept:
                     break
+        y_arcs.append(ys)
 
+    return _OwnerCore(x_nodes, inner, corner, bridged, droppable, budgets, offers, x_kept, y_arcs)
+
+
+def build_bridge_digraph(
+    g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
+) -> BridgeDigraph:
+    """Assemble the detour digraph of owner ``v`` against the far corners.
+
+    The far-corner types and the arcs are those of ``_owner_core``: every
+    detour is counted in ``offers``, and only the arcs within each node's
+    budget are built.  x-arcs are listed before y-arcs, by head and by
+    detached class.
+    """
+    core = _owner_core(g, col, v, y_corners)
+    far_set = frozenset(y_corners)
+    arcs = []
+    for i, (heads, ys) in enumerate(zip(core.x_kept, core.y_arcs)):
+        arcs += [BridgeArc(i, ("x", j), core.inner[j]) for j in iter_bits(heads)]
+        arcs += [BridgeArc(i, ("y", k), mid) for k, mid in ys]
+    bridged = tuple(frozenset(iter_bits(mask)) for mask in core.bridged)
+    droppable = tuple(frozenset(iter_bits(mask)) for mask in core.droppable)
     return BridgeDigraph(
-        x_nodes=x_nodes,
+        x_nodes=core.x_nodes,
         y_corners=tuple(sorted(y_corners)),
-        inner=inner,
-        corner=corner,
+        inner=core.inner,
+        corner=core.corner,
         arcs=tuple(arcs),
-        bridged=tuple(bridged),
-        droppable=tuple(droppable),
-        settled=tuple(settled),
-        offers=tuple(offers),
+        bridged=bridged,
+        droppable=droppable,
+        # settled: the far corners that see both halves
+        settled=tuple(far_set - b - p for b, p in zip(bridged, droppable)),
+        offers=tuple(core.offers),
     )
+
+
+def _offer_failures(x_nodes, budgets, offers) -> list[str]:
+    """Each node must offer at least one arc per bridged or droppable corner."""
+    return [
+        f"class {cls} offers {have} arcs for {need} corners"
+        for cls, need, have in zip(x_nodes, budgets, offers)
+        if have < need
+    ]
+
+
+def _require_budget(cls: tuple[int, int], have: int, budget: int) -> None:
+    """Refuse a node that holds other than exactly its budget of arcs."""
+    if have != budget:
+        raise CertificateError(
+            "arc budget below the out-degree guarantee"
+            if have < budget
+            else f"class {cls} holds arcs beyond its budget",
+            dump={"class": cls, "arcs": have, "budget": budget},
+        )
+
+
+def _require_free(cls: tuple[int, int], waiting: list[int], free: int) -> None:
+    """Refuse a node with fewer free arcs than far corners still waiting."""
+    if len(waiting) > free:
+        raise CertificateError(
+            "not enough free arcs for the remaining corners",
+            dump={"class": cls, "waiting": waiting, "free": free},
+        )
+
+
+def _budgets(d: BridgeDigraph) -> list[int]:
+    return [len(b) + len(p) for b, p in zip(d.bridged, d.droppable)]
 
 
 def audit_out_degree(d: BridgeDigraph) -> list[str]:
     """Each node must offer at least one arc per bridged or droppable corner."""
-    bad = []
-    for i, cls in enumerate(d.x_nodes):
-        need = len(d.bridged[i]) + len(d.droppable[i])
-        have = d.offers[i]
-        if have < need:
-            bad.append(f"class {cls} offers {have} arcs for {need} corners")
-    return bad
+    return _offer_failures(d.x_nodes, _budgets(d), d.offers)
 
 
 def restrict_out_degree(d: BridgeDigraph) -> BridgeDigraph:
@@ -291,16 +369,8 @@ def restrict_out_degree(d: BridgeDigraph) -> BridgeDigraph:
     ``audit_out_degree`` passes, no fewer, so this is the build's
     postcondition; a digraph that breaks it is refused, never trimmed.
     """
-    for i, cls in enumerate(d.x_nodes):
-        budget = len(d.bridged[i]) + len(d.droppable[i])
-        have = len(d.out_arcs(i))
-        if have != budget:
-            raise CertificateError(
-                "arc budget below the out-degree guarantee"
-                if have < budget
-                else f"class {cls} holds arcs beyond its budget",
-                dump={"class": cls, "arcs": have, "budget": budget},
-            )
+    for i, (cls, budget) in enumerate(zip(d.x_nodes, _budgets(d))):
+        _require_budget(cls, len(d.out_arcs(i)), budget)
     return d
 
 
@@ -344,7 +414,9 @@ def assign_bridges(
     bridged far corner to its class corner such that each arc carries at
     most one route, opposite arcs never both use the inner-inner edge, and
     reserve tags drop the arcs they name.  The conflict graph and the arc
-    index are built only when ``dec`` names an edge.
+    index are built only when ``dec`` names an edge.  The constructor calls
+    it only for a contended owner; on an edgeless decoration its result is
+    the closed form ``_owner_bridges`` takes for every other owner.
     """
     # built only when the certificates name a conflict edge; so is the arc index
     h = d.conflict if dec.reserved or dec.relief or dec.colour_of else None
@@ -441,11 +513,7 @@ def assign_bridges(
     for i in range(len(d.x_nodes)):
         waiting = sorted(y for y in d.bridged[i] if (i, y) not in routes)
         free = [k for k in d.out_arcs(i) if state[k] == "free"]
-        if len(waiting) > len(free):
-            raise CertificateError(
-                "not enough free arcs for the remaining corners",
-                dump={"class": d.x_nodes[i], "waiting": waiting, "free": len(free)},
-            )
+        _require_free(d.x_nodes[i], waiting, len(free))
         for y, k in zip(waiting, free):
             a = d.arcs[k]
             if k in detour:
@@ -454,6 +522,56 @@ def assign_bridges(
                 claim(i, y, (y, inner[i], a.mid, corner[i]), k)
 
     return routes
+
+
+def _owner_bridges(
+    g: Multigraph, col: PairColouring, v: int, corners: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """The bridges of owner ``v``'s attached classes to the far ``corners``,
+    by class and then by far corner, each as a vertex route.
+
+    Every owner passes the out-degree audit and the budget check on its
+    masks, counting the y-arcs really found.  A contended owner is decorated
+    and goes through ``build_bridge_digraph`` and ``assign_bridges``.  Any
+    other owner's bridges have a closed form, the one ``assign_bridges``
+    gives for ``DecoratedColouring.edgeless``: the k-th smallest bridged far
+    corner y of node i takes i's k-th kept arc (x-arcs by head, then y-arcs
+    in detached order) as the route y, inner, mid, corner.
+    """
+    core = _owner_core(g, col, v, corners)
+    bad = _offer_failures(core.x_nodes, core.budget, core.offers)
+    if bad:
+        raise CertificateError(
+            "bridge digraph below its degree guarantee",
+            dump={"owner": v, "failures": bad[:6]},
+        )
+    inner, corner = core.inner, core.corner
+    mids = [
+        [inner[j] for j in iter_bits(heads)] + [mid for _, mid in ys]
+        for heads, ys in zip(core.x_kept, core.y_arcs)
+    ]
+    for cls, node_mids, budget in zip(core.x_nodes, mids, core.budget):
+        _require_budget(cls, len(node_mids), budget)
+
+    if core.contended:
+        d = build_bridge_digraph(g, col, v, corners)
+        h, regions = d.conflict, decorated_regions(d)
+        dec = critical_colouring(h, len(d.y_corners), regions)
+        rep = validate_decorated(h, regions, dec)
+        if not rep.ok:
+            raise CertificateError(
+                "conflict-graph colouring failed its own validator",
+                dump={"owner": v, "failures": rep.failures[:6]},
+            )
+        routes = assign_bridges(d, dec)
+        return [routes[(i, y)] for i, bridged in enumerate(d.bridged) for y in sorted(bridged)]
+
+    bridges = []
+    for i, cls in enumerate(core.x_nodes):
+        waiting = list(iter_bits(core.bridged[i]))
+        _require_free(cls, waiting, len(mids[i]))
+        bridges += [(y, inner[i], mid, corner[i]) for y, mid in zip(waiting, mids[i])]
+    return bridges
 
 
 @gc_paused
@@ -485,8 +603,9 @@ def _immerse(
     The listed paths go into ``paths``; the corners are returned.  The first
     loop walks down the level chain to the empty set, the second back up it.
     A level drops a vertex, or joins its faithful side to its detached rest
-    and lays only its bridges.  A bridge joins non-adjacent corners through
-    non-corner vertices, so it takes no implicit pair's edge in any order.
+    and lays only its bridges, which ``_owner_bridges`` gives owner by
+    owner.  A bridge joins non-adjacent corners through non-corner
+    vertices, so it takes no implicit pair's edge in any order.
     ``_refine_split`` returns only a colouring with no counting-inequality
     violation, so that is not audited again here; the caller's replay is
     the only check of the final corner count against χ.
@@ -524,33 +643,11 @@ def _immerse(
         x_corners = _faithful_immersion(g, col, used, paths)
 
         # a (class corner, far corner) pair is implicit or bridged, as the
-        # class's digraph sorts it; (singleton, far corner) pairs are implicit
+        # owner's far-corner masks sort it; (singleton, far corner) pairs are
+        # implicit
         bridges = []
         for v in sorted(_grouped_by_owner(col)):
-            d = build_bridge_digraph(g, col, v, corners)
-            bad = audit_out_degree(d)
-            if bad:
-                raise CertificateError(
-                    "bridge digraph below its degree guarantee",
-                    dump={"owner": v, "failures": bad[:6]},
-                )
-            restrict_out_degree(d)
-            if d.contended:
-                h, regions = d.conflict, decorated_regions(d)
-                dec = critical_colouring(h, len(d.y_corners), regions)
-                rep = validate_decorated(h, regions, dec)
-                if not rep.ok:
-                    raise CertificateError(
-                        "conflict-graph colouring failed its own validator",
-                        dump={"owner": v, "failures": rep.failures[:6]},
-                    )
-            else:
-                # no conflict edge: nothing to validate, and the regions
-                # partition each palette by ``settled``'s definition
-                dec = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
-            routes = assign_bridges(d, dec)
-            for i, bridged in enumerate(d.bridged):
-                bridges += [routes[(i, y)] for y in sorted(bridged)]
+            bridges += _owner_bridges(g, col, v, corners)
         _require_adjacent(g, col.singletons, _bits(corners))
         _lay_paths(g, bridges, used, paths)
 

@@ -586,37 +586,86 @@ class TestEngineeredHosts:
             assert rep.ok, rep.failures
 
 
+def owner_steps(monkeypatch, g):
+    """The arguments of each per-owner step while constructing ``g``."""
+    calls = []
+    original = kchi.construct._owner_bridges
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kchi.construct, "_owner_bridges", spy)
+    construct_immersion(g)
+    monkeypatch.setattr(kchi.construct, "_owner_bridges", original)
+    return calls
+
+
+def full_path(g, col, v, corners):
+    """The per-owner step with a digraph for every owner: build, audit,
+    restrict, decorate when contended (else the edgeless decoration), assign."""
+    d = build_bridge_digraph(g, col, v, corners)
+    bad = audit_out_degree(d)
+    if bad:
+        raise CertificateError(
+            "bridge digraph below its degree guarantee", dump={"owner": v, "failures": bad[:6]}
+        )
+    restrict_out_degree(d)
+    if d.contended:
+        regions = decorated_regions(d)
+        dec = critical_colouring(d.conflict, len(d.y_corners), regions)
+    else:
+        dec = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
+    routes = assign_bridges(d, dec)
+    return [routes[(i, y)] for i, bridged in enumerate(d.bridged) for y in sorted(bridged)]
+
+
 def contention_corpus():
-    """Per host, the restricted bridge digraphs that ``assign_bridges`` got
-    and the number of ``critical_colouring`` calls, while constructing 600
-    seeded ``gen_alpha2`` hosts (n ≤ 60), the two hosts that take the
-    length-4 detour and ``gen_alpha2(601, 0.8, 912151271)`` (last)."""
+    """Per host, each per-owner step as ``(args, routes)``, the step's
+    restricted bridge digraph rebuilt from its arguments, and the calls it
+    made to ``build_bridge_digraph``, ``critical_colouring`` and
+    ``assign_bridges``, while constructing 600 seeded ``gen_alpha2`` hosts
+    (n ≤ 60), the two hosts that take the length-4 detour and
+    ``gen_alpha2(601, 0.8, 912151271)`` (last)."""
     rng = random.Random(20261023)
     specs = [(1 + i % 60, rng.random(), rng.randrange(2**32)) for i in range(600)]
     specs += [(11, 0.37584929805804157, 601180945), (11, 0.4729279253079284, 152907695)]
     specs += [(601, 0.8, 912151271)]
     seen = []
-    original_assign = kchi.construct.assign_bridges
-    original_critical = kchi.construct.critical_colouring
+    originals = {
+        name: getattr(kchi.construct, name)
+        for name in ("_owner_bridges", "build_bridge_digraph", "critical_colouring", "assign_bridges")
+    }
 
-    def assign(d, dec):
-        seen[-1][0].append(d)
-        return original_assign(d, dec)
+    def owner(*args):
+        routes = originals["_owner_bridges"](*args)
+        d = restrict_out_degree(build_bridge_digraph(*args))
+        seen[-1]["owners"].append((args, routes, d))
+        return routes
 
-    def critical(*args):
-        seen[-1][1] += 1
-        return original_critical(*args)
+    def counted(name):
+        def call(*args):
+            seen[-1][name] += 1
+            return originals[name](*args)
 
-    kchi.construct.assign_bridges = assign
-    kchi.construct.critical_colouring = critical
+        return call
+
+    kchi.construct._owner_bridges = owner
+    for name in ("build_bridge_digraph", "critical_colouring", "assign_bridges"):
+        setattr(kchi.construct, name, counted(name))
     try:
         for spec in specs:
-            seen.append([[], 0])
+            seen.append(Counter(owners=[]))
             construct_immersion(gen_alpha2(*spec))
     finally:
-        kchi.construct.assign_bridges = original_assign
-        kchi.construct.critical_colouring = original_critical
+        for name, fn in originals.items():
+            setattr(kchi.construct, name, fn)
     return seen
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return contention_corpus()
 
 
 class TestContention:
@@ -635,16 +684,145 @@ class TestContention:
         }
         assert "conflict" not in vars(d) and "arc_index" not in vars(d)
 
-    def test_only_contended_owners_are_decorated(self):
-        seen = contention_corpus()
+    def test_only_contended_owners_are_decorated(self, corpus):
         contended = 0
-        for digraphs, calls in seen:
-            for d in digraphs:
+        for host in corpus:
+            for _, _, d in host["owners"]:
                 assert d.contended == (d.conflict.m > 0)
-            assert calls == sum(d.contended for d in digraphs)
-            contended += calls
-        assert seen[-1][0] and seen[-1][1] == 0  # the n = 601 host has owners, none contended
+            assert host["critical_colouring"] == sum(d.contended for _, _, d in host["owners"])
+            contended += host["critical_colouring"]
+        # the n = 601 host has owners, none contended
+        assert corpus[-1]["owners"] and corpus[-1]["critical_colouring"] == 0
         assert contended >= 1
+
+    def test_only_contended_owners_build_a_digraph(self, corpus):
+        contended = 0
+        for host in corpus:
+            n_contended = sum(d.contended for _, _, d in host["owners"])
+            assert host["build_bridge_digraph"] == host["assign_bridges"] == n_contended
+            contended += n_contended
+        assert corpus[-1]["owners"] and corpus[-1]["build_bridge_digraph"] == 0
+        assert corpus[-1]["assign_bridges"] == 0
+        assert contended >= 1
+
+    def test_closed_form_matches_the_full_path(self, corpus, monkeypatch):
+        owners = [step for host in corpus for step in host["owners"]]
+        for args, routes, d in owners:
+            assert kchi.construct._owner_core(*args).contended == d.contended
+            assert routes == full_path(*args)
+        # every owner, contended or not, against assign_bridges on the
+        # edgeless decoration
+        monkeypatch.setattr(kchi.construct._OwnerCore, "contended", False)
+        for args, _, d in owners:
+            edgeless = assign_bridges(d, DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners)))
+            expected = [edgeless[(i, y)] for i, bridged in enumerate(d.bridged) for y in sorted(bridged)]
+            assert kchi.construct._owner_bridges(*args) == expected
+        # some node needs more bridges than it keeps x-arcs: the y-arc scan ran
+        assert any(
+            len(bridged) > sum(d.arcs[k].head[0] == "x" for k in d.out_arcs(i))
+            for _, _, d in owners
+            for i, bridged in enumerate(d.bridged)
+        )
+        assert sum(d.contended for _, _, d in owners) >= 1
+
+
+# gen_alpha2(10, 0.28483820129301884, 2467781857) has one uncontended owner,
+# 5, against far corners (8, 9): class (1, 4) needs no arc, and class
+# (3, 7), corner 7, bridges to 9 from its inner half 3 through the detached
+# vertex 2, its only arc
+Y_HOST = (10, 0.28483820129301884, 2467781857)
+
+
+def refusal(step, *args):
+    with pytest.raises(CertificateError) as err:
+        step(*args)
+    return str(err.value), err.value.dump
+
+
+def tampered(monkeypatch, **change):
+    """Rebind ``_owner_core`` so that each ``field=edit`` edits that list of
+    every core it returns."""
+    original = kchi.construct._owner_core
+
+    def core(*args):
+        c = original(*args)
+        for field, edit in change.items():
+            edit(getattr(c, field))
+        return c
+
+    monkeypatch.setattr(kchi.construct, "_owner_core", core)
+
+
+class TestOwnerRefusals:
+    """The per-owner step refuses what the digraph path refused, in the same
+    order, with the same message and dump."""
+
+    def y_owner(self, monkeypatch):
+        (args,) = owner_steps(monkeypatch, gen_alpha2(*Y_HOST))
+        g, col, v, corners = args
+        assert v == 5 and corners == (8, 9)
+        core = kchi.construct._owner_core(*args)
+        assert core.x_nodes == ((1, 4), (3, 7)) and core.budget == [0, 1]
+        assert core.x_kept == [0, 0] and core.y_arcs == [[], [(0, 2)]]
+        assert not core.contended
+        return args
+
+    def test_far_corner_seeing_neither_half(self):
+        g = Multigraph(4, [(0, 2)])
+        args = (g, _with_split(g, [(0,), (1, 2)]), 0, (3,))
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "far corner sees neither half of an attached class"
+        assert dump == {"corner": 3, "class": (1, 2)}
+        assert refusal(full_path, *args) == (message, dump)
+
+    def test_owner_below_its_degree_guarantee(self):
+        args = (SHORT_HOST, TestOutDegreeShortfall().colouring(), 8, (3, 5, 7))
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "bridge digraph below its degree guarantee"
+        assert dump == {"owner": 8, "failures": ["class (0, 1) offers 1 arcs for 2 corners"]}
+        assert refusal(full_path, *args) == (message, dump)
+
+    def test_y_arcs_found_are_counted_against_the_budget(self, monkeypatch):
+        args = self.y_owner(monkeypatch)
+        assert kchi.construct._owner_bridges(*args) == [(9, 3, 2, 7)]
+        # the scan finds no y-arc where the budget cut kept one
+        tampered(monkeypatch, y_arcs=lambda ys: ys[1].clear())
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "arc budget below the out-degree guarantee"
+        assert dump == {"class": (3, 7), "arcs": 0, "budget": 1}
+        assert refusal(full_path, *args) == (message, dump)
+
+    def test_arcs_beyond_the_budget(self, monkeypatch):
+        args = self.y_owner(monkeypatch)
+        tampered(monkeypatch, x_kept=lambda kept: kept.__setitem__(0, 0b10))
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "class (1, 4) holds arcs beyond its budget"
+        assert dump == {"class": (1, 4), "arcs": 1, "budget": 0}
+        assert refusal(full_path, *args) == (message, dump)
+
+    def test_the_audit_comes_before_the_budget_check(self, monkeypatch):
+        args = self.y_owner(monkeypatch)
+        tampered(
+            monkeypatch,
+            x_kept=lambda kept: kept.__setitem__(0, 0b10),
+            offers=lambda offers: offers.__setitem__(1, 0),
+        )
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "bridge digraph below its degree guarantee"
+        assert dump == {"owner": 5, "failures": ["class (3, 7) offers 0 arcs for 1 corners"]}
+        assert refusal(full_path, *args) == (message, dump)
+
+    def test_not_enough_free_arcs(self, monkeypatch):
+        args = self.y_owner(monkeypatch)
+        # a settled corner counted as bridged, the budget left as it was
+        tampered(monkeypatch, bridged=lambda masks: masks.__setitem__(1, masks[1] | 1 << 8))
+        message, dump = refusal(kchi.construct._owner_bridges, *args)
+        assert message == "not enough free arcs for the remaining corners"
+        assert dump == {"class": (3, 7), "waiting": [8, 9], "free": 1}
+        # assign_bridges refuses the digraph of the same core the same way
+        d = build_bridge_digraph(*args)
+        edgeless = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
+        assert refusal(assign_bridges, d, edgeless) == (message, dump)
 
 
 # sha256 over the certificates of six near-complete ``gen_alpha2`` hosts,
