@@ -23,6 +23,7 @@ from kchi.construct import (
     restrict_out_degree,
 )
 from kchi.decorated import critical_colouring
+from kchi.graphs import iter_bits
 
 # three attached classes {0,1}, {2,3}, {4,5} owned by vertex 10, two
 # detached classes {6,7} and {8,9}; each far corner (7 and 9) sees every
@@ -45,15 +46,17 @@ print(f"  singletons {col.singletons}, attached {col.attached}, detached {col.de
 
 # stage 1: the bridge digraph of owner 10 against far corners 7 and 9.  A
 # class may keep one arc per bridged or droppable corner; every detour it
-# offers is counted, but only the arcs within that budget are built, those
-# whose reverse is absent first
+# offers is counted, but only the arcs within that budget are kept, those
+# whose reverse is absent first.  The far-corner types and the kept x-arcs
+# are held as vertex masks, printed here as vertex lists
 d = build_bridge_digraph(g, col, 10, (7, 9))
 print("\nbridge digraph:")
 for i, cls in enumerate(d.x_nodes):
     print(
         f"  class {i} = {cls}: inner {d.inner[i]}, corner {d.corner[i]}, "
-        f"bridged {sorted(d.bridged[i])}, droppable {sorted(d.droppable[i])}, "
-        f"settled {sorted(d.settled[i])}, offers {d.offers[i]}"
+        f"bridged {list(iter_bits(d.bridged[i]))}, droppable {list(iter_bits(d.droppable[i]))}, "
+        f"settled {list(iter_bits(d.settled[i]))}, offers {d.offers[i]}, "
+        f"x-arcs to classes {list(iter_bits(d.x_kept[i]))}, y-arcs {d.y_arcs[i]}"
     )
 print(f"  arcs: {[(a.tail, a.head, a.mid) for a in d.arcs]}")
 
@@ -80,18 +83,20 @@ print(f"  decorated colouring: colour_of {dec.colour_of}, reserved {dec.reserved
 print(f"  marked per colour: { {c: sorted(xs) for c, xs in dec.uncovered_at.items()} }")
 
 # stage 4: each conflict edge's colour decides who keeps the inner-inner
-# edge; everything else bridges through its remaining arcs
+# edge; everything else bridges through its remaining arcs.  The routes come
+# by class, then by far corner, and each starts at its far corner
 routes = assign_bridges(d, dec)
 print("\nroutes (far corner → … → class corner):")
-for (i, y), walk in sorted(routes.items()):
-    print(f"  class {i}, far corner {y}: {' → '.join(map(str, walk))}")
+for walk in routes:
+    print(f"  class {d.corner.index(walk[-1])}, far corner {walk[0]}: {' → '.join(map(str, walk))}")
 
-# the constructor runs the same pipeline for every owner whose conflict graph
-# has an edge, as this one does; any other owner's routes, stage 4's lowest
-# free arcs, are read straight off its arc selection with no digraph built
+# the constructor runs the same four stages for every owner; only an owner
+# whose conflict graph has an edge, as this one does, is decorated in
+# stage 3, and any other gets the edgeless decoration, on which stage 4
+# hands each bridged far corner its class's next kept arc
 imm = construct_immersion(g)
 assert verify_immersion(g, imm, chi).ok
 assert set(imm.corners) >= {7, 9, 10}
-for (i, y), walk in routes.items():
-    assert tuple(sorted((y, d.corner[i]))) in imm.paths
+for walk in routes:
+    assert tuple(sorted((walk[0], walk[-1]))) in imm.paths
 print(f"\nfull construction: corners {imm.corners}, verifier accepted")

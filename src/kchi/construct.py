@@ -16,22 +16,20 @@ vertex set, then up once to lay each level's paths after those below.
 Bridges are rationed through an auxiliary digraph whose arcs encode the
 available length-2 detours between a class's inner half and its corner.  Each
 class may keep one arc per far corner that is not settled by two direct
-edges; the digraph is built with exactly the arcs within that budget (detours
-whose reverse is absent first), and it records how many detours each class
-offers in all, which is what the out-degree audit checks.  Two opposite arcs
-would reuse the same inner-inner edge, so the double arcs form a conflict
-graph (``BridgeDigraph.conflict``).  When it has an edge (the owner is
-contended: two opposite arcs are both kept) it is handed to the decorated
-cycle-matching colouring, whose reserve/relief certificates say which arc
-of each conflicting pair to drop, reroute or share.  Then every remaining
-corner pair takes its lowest free arc.  Almost no owner is contended.  The
-budget, the audits and the arc selection run on masks for every owner
-(``_owner_core``), and an uncontended owner's bridges have a closed form
-read straight off those masks: with no conflict edge every bridged far
-corner takes its node's next kept arc, so no digraph, conflict graph,
-palette regions or validation is built for it, none of which would have
-anything to check.  All of this is per construction step, and costs time
-in proportion to the arcs kept, not to the detours offered.
+edges; the digraph keeps exactly the arcs within that budget (detours whose
+reverse is absent first), as masks, and it records how many detours each
+class offers in all, which is what the out-degree audit checks.  Two
+opposite arcs would reuse the same inner-inner edge, so the double arcs form
+a conflict graph (``BridgeDigraph.conflict``).  Only when it has an edge
+(the owner is contended: two opposite arcs are both kept) is it handed to
+the decorated cycle-matching colouring, whose reserve/relief certificates
+say which arc of each conflicting pair to drop, reroute or share; every
+other owner gets the edgeless decoration, which names no arc.  Then every
+remaining bridged corner takes its class's next free arc.  Almost no owner
+is contended, so almost no conflict graph, palette regions or validation is
+built, none of which would have anything to check on an uncontended owner.
+All of this is per construction step, and costs time in proportion to the
+arcs kept, not to the detours offered.
 
 One blossom matching serves the whole construction: the top level reuses
 the colouring of ``chi_alpha2``, and every level below gets the restriction
@@ -61,8 +59,6 @@ checked by one mask AND each (``immersion._require_adjacent``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .decorated import (
@@ -105,9 +101,8 @@ class BridgeArc(NamedTuple):
     mid: int
 
 
-@dataclass(frozen=True)
-class BridgeDigraph:
-    """Detour options of one owner's attached classes, with far-corner types.
+class BridgeDigraph(NamedTuple):
+    """Detour options of one owner's attached classes, as masks node by node.
 
     For each attached class (node ``i``, split into ``inner[i]`` and
     ``corner[i]``) and each far corner y exactly one of three things holds:
@@ -117,59 +112,54 @@ class BridgeDigraph:
       the arc budget has one arc of slack here;
     * ``settled``:   both edges present — direct edge, no interaction.
 
-    Node i's arc budget is ``len(bridged[i]) + len(droppable[i])``, and
-    ``offers[i]`` counts every detour node i has.  ``arcs`` may list fewer:
-    ``build_bridge_digraph`` lists exactly the budget of each node, and
-    ``restrict_out_degree`` checks that it did.  The constructor builds one
-    only for a contended owner; every other owner's bridges are read off
-    the same selection as masks (``_owner_bridges``).
+    ``bridged[i]`` and ``droppable[i]`` are far-corner masks, and
+    ``settled`` is read off them.  Node i's arc budget is their combined
+    size, and ``offers[i]`` counts every detour node i has.  Node i keeps
+    the x-arcs to the nodes of the mask ``x_kept[i]`` and the y-arcs
+    ``y_arcs[i]``, each as (detached class, mid): ``build_bridge_digraph``
+    keeps exactly the budget of each node, and ``restrict_out_degree``
+    checks that it did.  ``arcs``, ``contended`` and ``conflict`` are read
+    off the kept arcs when asked for.
     """
 
     x_nodes: tuple[tuple[int, int], ...]
     y_corners: tuple[int, ...]
     inner: tuple[int, ...]
     corner: tuple[int, ...]
-    arcs: tuple[BridgeArc, ...]
-    bridged: tuple[frozenset[int], ...]
-    droppable: tuple[frozenset[int], ...]
-    settled: tuple[frozenset[int], ...]
-    offers: tuple[int, ...]
+    bridged: list[int]
+    droppable: list[int]
+    offers: list[int]
+    x_kept: list[int]
+    y_arcs: list[list[tuple[int, int]]]
 
-    def out_arcs(self, i: int) -> tuple[int, ...]:
-        return self._out_arcs[i]
+    @property
+    def settled(self) -> list[int]:
+        """Per node, the mask of the far corners that see both halves."""
+        far = _bits(self.y_corners)
+        return [far & ~(b | p) for b, p in zip(self.bridged, self.droppable)]
 
-    @cached_property
-    def _out_arcs(self) -> tuple[tuple[int, ...], ...]:
-        """Arc indices grouped by tail, each group ascending."""
-        out: list[list[int]] = [[] for _ in self.x_nodes]
-        for k, a in enumerate(self.arcs):
-            out[a.tail].append(k)
-        return tuple(map(tuple, out))
-
-    @cached_property
-    def arc_index(self) -> dict[tuple[int, tuple[str, int]], int]:
-        """Each arc's index, keyed by (tail, head)."""
-        return {(a.tail, a.head): k for k, a in enumerate(self.arcs)}
+    @property
+    def arcs(self) -> tuple[BridgeArc, ...]:
+        """The kept arcs by tail: x-arcs by head, then y-arcs in detached order."""
+        arcs = []
+        for i, (heads, ys) in enumerate(zip(self.x_kept, self.y_arcs)):
+            arcs += [BridgeArc(i, ("x", j), self.inner[j]) for j in iter_bits(heads)]
+            arcs += [BridgeArc(i, ("y", k), mid) for k, mid in ys]
+        return tuple(arcs)
 
     @property
     def contended(self) -> bool:
         """Whether some two opposite x-arcs are both kept, which is exactly
-        when ``conflict`` has an edge; read off the arcs, building no graph."""
-        kept = {(a.tail, a.head[1]) for a in self.arcs if a.head[0] == "x"}
-        return any((j, i) in kept for i, j in kept)
+        when ``conflict`` has an edge; read off the masks, building no graph."""
+        x_kept = self.x_kept
+        return any(x_kept[j] >> i & 1 for i, heads in enumerate(x_kept) for j in iter_bits(heads))
 
-    @cached_property
+    @property
     def conflict(self) -> Multigraph:
         """The conflict graph on the nodes: one edge per pair of opposite arcs."""
-        index = self.arc_index
-        pairs = sorted(
-            {
-                (min(a.tail, a.head[1]), max(a.tail, a.head[1]))
-                for a in self.arcs
-                if a.head[0] == "x" and (a.head[1], ("x", a.tail)) in index
-            }
-        )
-        return Multigraph(len(self.x_nodes), pairs)
+        x_kept = self.x_kept
+        kept = ((i, j) for i, heads in enumerate(x_kept) for j in iter_bits(heads) if j > i)
+        return Multigraph(len(x_kept), [(i, j) for i, j in kept if x_kept[j] >> i & 1])
 
 
 def _lowest_bits(mask: int, count: int) -> int:
@@ -183,38 +173,10 @@ def _lowest_bits(mask: int, count: int) -> int:
     return out
 
 
-class _OwnerCore(NamedTuple):
-    """One owner's attached classes as masks, node by node.
-
-    ``bridged[i]`` and ``droppable[i]`` are far-corner masks, ``budget[i]``
-    is their combined size and ``offers[i]`` counts every detour node i has.
-    ``x_kept[i]`` is the mask of the heads of node i's kept x-arcs, and
-    ``y_arcs[i]`` lists its kept y-arcs as (detached class, mid).
-    ``build_bridge_digraph`` materialises these; ``_owner_bridges`` reads
-    them as they are.
-    """
-
-    x_nodes: tuple[tuple[int, int], ...]
-    inner: tuple[int, ...]
-    corner: tuple[int, ...]
-    bridged: list[int]
-    droppable: list[int]
-    budget: list[int]
-    offers: list[int]
-    x_kept: list[int]
-    y_arcs: list[list[tuple[int, int]]]
-
-    @property
-    def contended(self) -> bool:
-        """Whether some two opposite x-arcs are both kept."""
-        x_kept = self.x_kept
-        return any(x_kept[j] >> i & 1 for i, heads in enumerate(x_kept) for j in iter_bits(heads))
-
-
-def _owner_core(
+def build_bridge_digraph(
     g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
-) -> _OwnerCore:
-    """Sort owner ``v``'s far corners by type and select its arcs, as masks.
+) -> BridgeDigraph:
+    """Sort owner ``v``'s far corners by type and select its arcs.
 
     Every detour is counted in ``offers``, but only the arcs within each
     node's budget are kept.  Plain x-arcs (whose reverse is absent) are kept
@@ -262,14 +224,13 @@ def _owner_core(
     y_mids = col._detached_halves[0] & ~far_corners
     open_pairs = [(p, q) for p, q in col.detached if not (far_corners >> p | far_corners >> q) & 1]
 
-    budgets, offers, x_kept, y_arcs = [], [], [], []
+    offers, x_kept, y_arcs = [], [], []
     for i in range(len(x_nodes)):
         budget = bridged[i].bit_count() + droppable[i].bit_count()
         mids = both[i] & ~far_corners
         n_y = (mids & y_mids).bit_count()
         if open_pairs:
             n_y -= sum(mids >> p & mids >> q & 1 for p, q in open_pairs)
-        budgets.append(budget)
         offers.append(heads[i].bit_count() + n_y)
 
         plain = heads[i] & ~tails[i]
@@ -289,88 +250,38 @@ def _owner_core(
                     break
         y_arcs.append(ys)
 
-    return _OwnerCore(x_nodes, inner, corner, bridged, droppable, budgets, offers, x_kept, y_arcs)
-
-
-def build_bridge_digraph(
-    g: Multigraph, col: PairColouring, v: int, y_corners: tuple[int, ...]
-) -> BridgeDigraph:
-    """Assemble the detour digraph of owner ``v`` against the far corners.
-
-    The far-corner types and the arcs are those of ``_owner_core``: every
-    detour is counted in ``offers``, and only the arcs within each node's
-    budget are built.  x-arcs are listed before y-arcs, by head and by
-    detached class.
-    """
-    core = _owner_core(g, col, v, y_corners)
-    far_set = frozenset(y_corners)
-    arcs = []
-    for i, (heads, ys) in enumerate(zip(core.x_kept, core.y_arcs)):
-        arcs += [BridgeArc(i, ("x", j), core.inner[j]) for j in iter_bits(heads)]
-        arcs += [BridgeArc(i, ("y", k), mid) for k, mid in ys]
-    bridged = tuple(frozenset(iter_bits(mask)) for mask in core.bridged)
-    droppable = tuple(frozenset(iter_bits(mask)) for mask in core.droppable)
     return BridgeDigraph(
-        x_nodes=core.x_nodes,
-        y_corners=tuple(sorted(y_corners)),
-        inner=core.inner,
-        corner=core.corner,
-        arcs=tuple(arcs),
-        bridged=bridged,
-        droppable=droppable,
-        # settled: the far corners that see both halves
-        settled=tuple(far_set - b - p for b, p in zip(bridged, droppable)),
-        offers=tuple(core.offers),
+        x_nodes, tuple(sorted(y_corners)), inner, corner, bridged, droppable, offers, x_kept, y_arcs
     )
-
-
-def _offer_failures(x_nodes, budgets, offers) -> list[str]:
-    """Each node must offer at least one arc per bridged or droppable corner."""
-    return [
-        f"class {cls} offers {have} arcs for {need} corners"
-        for cls, need, have in zip(x_nodes, budgets, offers)
-        if have < need
-    ]
-
-
-def _require_budget(cls: tuple[int, int], have: int, budget: int) -> None:
-    """Refuse a node that holds other than exactly its budget of arcs."""
-    if have != budget:
-        raise CertificateError(
-            "arc budget below the out-degree guarantee"
-            if have < budget
-            else f"class {cls} holds arcs beyond its budget",
-            dump={"class": cls, "arcs": have, "budget": budget},
-        )
-
-
-def _require_free(cls: tuple[int, int], waiting: list[int], free: int) -> None:
-    """Refuse a node with fewer free arcs than far corners still waiting."""
-    if len(waiting) > free:
-        raise CertificateError(
-            "not enough free arcs for the remaining corners",
-            dump={"class": cls, "waiting": waiting, "free": free},
-        )
-
-
-def _budgets(d: BridgeDigraph) -> list[int]:
-    return [len(b) + len(p) for b, p in zip(d.bridged, d.droppable)]
 
 
 def audit_out_degree(d: BridgeDigraph) -> list[str]:
     """Each node must offer at least one arc per bridged or droppable corner."""
-    return _offer_failures(d.x_nodes, _budgets(d), d.offers)
+    failures = []
+    for cls, b, p, have in zip(d.x_nodes, d.bridged, d.droppable, d.offers):
+        need = b.bit_count() + p.bit_count()
+        if have < need:
+            failures.append(f"class {cls} offers {have} arcs for {need} corners")
+    return failures
 
 
 def restrict_out_degree(d: BridgeDigraph) -> BridgeDigraph:
     """Check that every node holds exactly its budget of arcs, and return ``d``.
 
-    ``build_bridge_digraph`` builds no arc beyond a node's budget and, once
+    ``build_bridge_digraph`` keeps no arc beyond a node's budget and, once
     ``audit_out_degree`` passes, no fewer, so this is the build's
     postcondition; a digraph that breaks it is refused, never trimmed.
     """
-    for i, (cls, budget) in enumerate(zip(d.x_nodes, _budgets(d))):
-        _require_budget(cls, len(d.out_arcs(i)), budget)
+    for cls, b, p, heads, ys in zip(d.x_nodes, d.bridged, d.droppable, d.x_kept, d.y_arcs):
+        budget = b.bit_count() + p.bit_count()
+        have = heads.bit_count() + len(ys)
+        if have != budget:
+            raise CertificateError(
+                "arc budget below the out-degree guarantee"
+                if have < budget
+                else f"class {cls} holds arcs beyond its budget",
+                dump={"class": cls, "arcs": have, "budget": budget},
+            )
     return d
 
 
@@ -378,8 +289,8 @@ def decorated_regions(d: BridgeDigraph) -> RegionPartition:
     """Far-corner types as palette regions for the conflict-graph colouring."""
     y_index = {y: q for q, y in enumerate(d.y_corners)}
 
-    def indices(sets):
-        return [{y_index[y] for y in s} for s in sets]
+    def indices(masks):
+        return [{y_index[y] for y in iter_bits(mask)} for mask in masks]
 
     return RegionPartition.from_sets(
         len(d.y_corners),
@@ -402,56 +313,50 @@ def _cycle_order(adj: dict[int, list[int]], start: int) -> list[int]:
         prev, at = at, step
 
 
-def assign_bridges(
+def _spend_certificates(
     d: BridgeDigraph, dec: DecoratedColouring
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Translate the conflict-graph certificates into one route per (class, corner).
+) -> tuple[list[int], list[dict[int, tuple[int, ...]]], list[dict[int, int]]]:
+    """Spend the x-arcs that the certificates of ``dec`` name.
 
-    ``dec`` must decorate ``d.conflict`` under ``decorated_regions(d)``: the
-    output of ``critical_colouring`` when ``d.contended``, and otherwise
-    ``DecoratedColouring.edgeless``, which names no conflict edge.  ``d``
-    must pass ``restrict_out_degree``.  Returns a vertex route from every
-    bridged far corner to its class corner such that each arc carries at
-    most one route, opposite arcs never both use the inner-inner edge, and
-    reserve tags drop the arcs they name.  The conflict graph and the arc
-    index are built only when ``dec`` names an edge.  The constructor calls
-    it only for a contended owner; on an edgeless decoration its result is
-    the closed form ``_owner_bridges`` takes for every other owner.
+    Returns, per node, the mask of the heads of its x-arcs still free, the
+    routes the certificates claimed (far corner → route) and the arcs they
+    flagged for a detour through a settled corner (mid → corner).  Reserve
+    tags drop arcs, and relief cherries and colour classes claim them; a
+    flagged arc's later route takes the detour.
     """
-    # built only when the certificates name a conflict edge; so is the arc index
-    h = d.conflict if dec.reserved or dec.relief or dec.colour_of else None
+    h, settled = d.conflict, d.settled
+    bridged, droppable, inner, corner = d.bridged, d.droppable, d.inner, d.corner
     y_of = d.y_corners
-    state = ["free"] * len(d.arcs)
-    detour: dict[int, int] = {}
-    routes: dict[tuple[int, int], tuple[int, ...]] = {}
-    inner, corner = d.inner, d.corner
+    free = list(d.x_kept)
+    claimed: list[dict[int, tuple[int, ...]]] = [{} for _ in d.x_nodes]
+    detour: list[dict[int, int]] = [{} for _ in d.x_nodes]
 
-    def x_arc(i: int, j: int) -> int:
-        try:
-            return d.arc_index[(i, ("x", j))]
-        except KeyError:
-            raise CertificateError(
-                "certificate names an absent arc", dump={"tail": i, "head": j}
-            ) from None
+    def present(i: int, j: int) -> None:
+        if not d.x_kept[i] >> j & 1:
+            raise CertificateError("certificate names an absent arc", dump={"tail": i, "head": j})
 
-    def claim(i: int, y: int, route: tuple[int, ...], arc: int) -> None:
-        if (i, y) in routes or state[arc] != "free":
+    def claim(i: int, j: int, y: int, route: tuple[int, ...]) -> None:
+        present(i, j)
+        if y in claimed[i] or not free[i] >> j & 1:
             raise CertificateError(
                 "route or arc claimed twice",
-                dump={"node": i, "corner": y, "arc": d.arcs[arc]},
+                dump={"node": i, "corner": y, "arc": BridgeArc(i, ("x", j), inner[j])},
             )
-        state[arc] = "used"
-        routes[(i, y)] = route
+        free[i] ^= 1 << j
+        claimed[i][y] = route
 
-    def drop(arc: int) -> None:
-        if state[arc] != "free":
-            raise CertificateError("dropped arc already consumed", dump={"arc": d.arcs[arc]})
-        state[arc] = "dropped"
+    def drop(i: int, j: int) -> None:
+        present(i, j)
+        if not free[i] >> j & 1:
+            raise CertificateError(
+                "dropped arc already consumed", dump={"arc": BridgeArc(i, ("x", j), inner[j])}
+            )
+        free[i] ^= 1 << j
 
     # reserve tags: the named class sheds its arc, its corner edge suffices
     for e, (i, c) in sorted(dec.reserved.items()):
         u, w = h.endpoints(e)
-        drop(x_arc(i, w if i == u else u))
+        drop(i, w if i == u else u)
 
     # relief cherries: two rerouted bridges around the middle class
     relief_by: dict[int, list[int]] = {}
@@ -464,10 +369,10 @@ def assign_bridges(
             verts = sorted(verts)
             mid = next(x for x in verts if len(adj[x]) == 2)
             ends = [x for x in verts if x != mid]
-            far = next(x for x in ends if y in d.settled[x])
-            near = next(x for x in ends if y in d.bridged[x])
-            claim(near, y, (y, inner[mid], corner[near]), x_arc(near, mid))
-            claim(mid, y, (y, inner[far], corner[mid]), x_arc(mid, far))
+            far = next(x for x in ends if settled[x] >> y & 1)
+            near = next(x for x in ends if bridged[x] >> y & 1)
+            claim(near, mid, y, (y, inner[mid], corner[near]))
+            claim(mid, far, y, (y, inner[far], corner[mid]))
 
     # plain colour classes: kept odd cycles and isolated matched edges
     colour_by: dict[int, list[int]] = {}
@@ -481,12 +386,12 @@ def assign_bridges(
                 order = _cycle_order(adj, verts[0])
                 for t, a in enumerate(order):
                     b = order[(t + 1) % len(order)]
-                    if y not in d.bridged[b]:
+                    if not bridged[b] >> y & 1:
                         raise CertificateError(
                             "cycle visits a class that does not need a bridge",
                             dump={"node": b, "corner": y},
                         )
-                    claim(b, y, (y, inner[a], corner[b]), x_arc(b, a))
+                    claim(b, a, y, (y, inner[a], corner[b]))
                 continue
             if len(verts) != 2 or len(adj[verts[0]]) != 1:
                 raise CertificateError(
@@ -494,67 +399,88 @@ def assign_bridges(
                     dump={"vertices": tuple(sorted(verts)), "colour": c},
                 )
             i, j = verts  # the least vertex first, as the edge's endpoints
-            if y in d.droppable[i]:
-                drop(x_arc(i, j))
-            if y in d.droppable[j]:
-                drop(x_arc(j, i))
-            if y in d.bridged[i] and y in d.bridged[j]:
-                claim(i, y, (y, inner[j], corner[i]), x_arc(i, j))
-                claim(j, y, (y, inner[i], corner[j]), x_arc(j, i))
-            elif y in d.bridged[i] and y in d.settled[j]:
-                claim(i, y, (y, inner[j], corner[i]), x_arc(i, j))
-            elif y in d.bridged[j] and y in d.settled[i]:
-                claim(j, y, (y, inner[i], corner[j]), x_arc(j, i))
-            elif y in d.settled[i] and y in d.settled[j]:
+            if droppable[i] >> y & 1:
+                drop(i, j)
+            if droppable[j] >> y & 1:
+                drop(j, i)
+            if bridged[i] >> y & 1 and bridged[j] >> y & 1:
+                claim(i, j, y, (y, inner[j], corner[i]))
+                claim(j, i, y, (y, inner[i], corner[j]))
+            elif bridged[i] >> y & 1 and settled[j] >> y & 1:
+                claim(i, j, y, (y, inner[j], corner[i]))
+            elif bridged[j] >> y & 1 and settled[i] >> y & 1:
+                claim(j, i, y, (y, inner[i], corner[j]))
+            elif settled[i] >> y & 1 and settled[j] >> y & 1:
                 a, b = (i, j) if i < j else (j, i)
-                detour[x_arc(a, b)] = y
+                present(a, b)
+                detour[a][inner[b]] = y
+    return free, claimed, detour
+
+
+def assign_bridges(d: BridgeDigraph, dec: DecoratedColouring) -> list[tuple[int, ...]]:
+    """Translate the conflict-graph certificates into one route per (class, corner).
+
+    ``dec`` must decorate ``d.conflict`` under ``decorated_regions(d)``: the
+    output of ``critical_colouring`` when ``d.contended``, and otherwise
+    ``DecoratedColouring.edgeless``, which names no conflict edge.  ``d``
+    must pass ``restrict_out_degree``.  Returns a vertex route from every
+    bridged far corner to its class corner, in lane order (by node, then by
+    far corner), such that each arc carries at most one route, opposite arcs
+    never both use the inner-inner edge, and reserve tags drop the arcs they
+    name.  The certificates spend their x-arcs first, and the conflict graph
+    is built only when ``dec`` names an edge.  Then every bridged far corner
+    still waiting takes its node's next free arc (x-arcs by head, then
+    y-arcs in detached order), so on an edgeless decoration node i's k-th
+    smallest bridged far corner takes its k-th kept arc.
+    """
+    inner, corner = d.inner, d.corner
+    if dec.reserved or dec.relief or dec.colour_of:
+        free, claimed, detour = _spend_certificates(d, dec)
+    else:  # nothing spent: every kept arc is free, and the tables are read only
+        free, claimed, detour = d.x_kept, [{}] * len(d.x_nodes), [{}] * len(d.x_nodes)
 
     # everything still uncovered takes its lowest free arc with the naive route
-    for i in range(len(d.x_nodes)):
-        waiting = sorted(y for y in d.bridged[i] if (i, y) not in routes)
-        free = [k for k in d.out_arcs(i) if state[k] == "free"]
-        _require_free(d.x_nodes[i], waiting, len(free))
-        for y, k in zip(waiting, free):
-            a = d.arcs[k]
-            if k in detour:
-                claim(i, y, (y, inner[i], detour[k], a.mid, corner[i]), k)
-            else:
-                claim(i, y, (y, inner[i], a.mid, corner[i]), k)
-
-    return routes
+    bridges = []
+    for i, (cls, bridged, ys) in enumerate(zip(d.x_nodes, d.bridged, d.y_arcs)):
+        got, via = claimed[i], detour[i]
+        mids = [inner[j] for j in iter_bits(free[i])] + [mid for _, mid in ys]
+        waiting = [y for y in iter_bits(bridged) if y not in got]
+        if len(waiting) > len(mids):
+            raise CertificateError(
+                "not enough free arcs for the remaining corners",
+                dump={"class": cls, "waiting": waiting, "free": len(mids)},
+            )
+        a, c = inner[i], corner[i]
+        routes = [
+            (y, a, via[mid], mid, c) if mid in via else (y, a, mid, c)
+            for y, mid in zip(waiting, mids)
+        ]
+        # each route starts at its own far corner, so sorting restores lane order
+        bridges += sorted(routes + list(got.values())) if got else routes
+    return bridges
 
 
 def _owner_bridges(
     g: Multigraph, col: PairColouring, v: int, corners: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """The bridges of owner ``v``'s attached classes to the far ``corners``,
-    by class and then by far corner, each as a vertex route.
+    in lane order (by class, then by far corner), each as a vertex route.
 
-    Every owner passes the out-degree audit and the budget check on its
-    masks, counting the y-arcs really found.  A contended owner is decorated
-    and goes through ``build_bridge_digraph`` and ``assign_bridges``.  Any
-    other owner's bridges have a closed form, the one ``assign_bridges``
-    gives for ``DecoratedColouring.edgeless``: the k-th smallest bridged far
-    corner y of node i takes i's k-th kept arc (x-arcs by head, then y-arcs
-    in detached order) as the route y, inner, mid, corner.
+    The owner's bridge digraph is built, audited for its out-degree and
+    checked against its budget.  Only a contended owner's conflict graph is
+    decorated, and its decoration validated; any other owner gets
+    ``DecoratedColouring.edgeless``, which names no arc, so each of its
+    bridged far corners takes its node's next kept arc.
     """
-    core = _owner_core(g, col, v, corners)
-    bad = _offer_failures(core.x_nodes, core.budget, core.offers)
+    d = build_bridge_digraph(g, col, v, corners)
+    bad = audit_out_degree(d)
     if bad:
         raise CertificateError(
             "bridge digraph below its degree guarantee",
             dump={"owner": v, "failures": bad[:6]},
         )
-    inner, corner = core.inner, core.corner
-    mids = [
-        [inner[j] for j in iter_bits(heads)] + [mid for _, mid in ys]
-        for heads, ys in zip(core.x_kept, core.y_arcs)
-    ]
-    for cls, node_mids, budget in zip(core.x_nodes, mids, core.budget):
-        _require_budget(cls, len(node_mids), budget)
-
-    if core.contended:
-        d = build_bridge_digraph(g, col, v, corners)
+    restrict_out_degree(d)
+    if d.contended:
         h, regions = d.conflict, decorated_regions(d)
         dec = critical_colouring(h, len(d.y_corners), regions)
         rep = validate_decorated(h, regions, dec)
@@ -563,15 +489,9 @@ def _owner_bridges(
                 "conflict-graph colouring failed its own validator",
                 dump={"owner": v, "failures": rep.failures[:6]},
             )
-        routes = assign_bridges(d, dec)
-        return [routes[(i, y)] for i, bridged in enumerate(d.bridged) for y in sorted(bridged)]
-
-    bridges = []
-    for i, cls in enumerate(core.x_nodes):
-        waiting = list(iter_bits(core.bridged[i]))
-        _require_free(cls, waiting, len(mids[i]))
-        bridges += [(y, inner[i], mid, corner[i]) for y, mid in zip(waiting, mids[i])]
-    return bridges
+    else:
+        dec = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
+    return assign_bridges(d, dec)
 
 
 @gc_paused

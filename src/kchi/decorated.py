@@ -98,6 +98,10 @@ class DecoratedColouring:
 _TIEBREAK_SALTS = 8
 
 
+def _region_count_failure(g: Multigraph, regions: RegionPartition) -> str:
+    return f"regions list {len(regions.free)} triples for {g.n} vertices"
+
+
 class _MarkingClash(Exception):
     """Internal: a step was forced to mark a neighbour of an older mark."""
 
@@ -120,6 +124,8 @@ def critical_colouring(g: Multigraph, palette: int, regions: RegionPartition) ->
     """
     if palette != regions.palette:
         raise PremiseError(f"palette {palette} does not match regions ({regions.palette})")
+    if len(regions.free) != g.n:
+        raise PremiseError(_region_count_failure(g, regions))
     for x in range(g.n):
         slack = len(regions.free[x]) + len(regions.reserve[x])
         if slack < g.degree(x):
@@ -248,6 +254,8 @@ def _repair_cycle(cyc, c, remaining, regions, deg_now, consume, reserved, relief
 
 def validate_decorated(g: Multigraph, regions: RegionPartition, dec: DecoratedColouring) -> ValidityReport:
     """Exhaustively check every clause the decorated colouring promises."""
+    if len(regions.free) != g.n:
+        return ValidityReport.from_failures([_region_count_failure(g, regions)])
     failures: list[str] = []
     palette = regions.palette
     free, reserve, blocked = regions.free, regions.reserve, regions.blocked

@@ -354,11 +354,11 @@ def reference_immerse(g: Multigraph, col: PairColouring, used: set, paths: dict,
             restrict_out_degree(d)
             regions = decorated_regions(d)
             dec = critical_colouring(d.conflict, len(d.y_corners), regions)
-            routes = assign_bridges(d, dec)
+            routes = iter(assign_bridges(d, dec))  # by class, then by far corner
             for i, bridged in enumerate(d.bridged):
                 for y in d.y_corners:
-                    if y in bridged:  # each bridge before the level's direct pairs
-                        reference_lay_paths(g, [routes[(i, y)]], used, paths, implicit)
+                    if bridged >> y & 1:  # each bridge before the level's direct pairs
+                        reference_lay_paths(g, [next(routes)], used, paths, implicit)
                     else:
                         direct.append((d.corner[i], y))
         reference_lay_paths(g, direct, used, paths, implicit)

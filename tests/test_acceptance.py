@@ -197,17 +197,10 @@ def test_criterion_9_internal_audits(monkeypatch, small_corpus):
         return out
 
     monkeypatch.setattr(construct_mod, "_refine_split", refined)
-    # every owner passes the out-degree audit on its masks; audit the digraph
-    # the per-owner step would build from them
-    owner_bridges = construct_mod._owner_bridges
-
-    def owner_step(g, col, v, corners):
-        out = owner_bridges(g, col, v, corners)
-        d = construct_mod.build_bridge_digraph(g, col, v, corners)
-        spy("out_degree", construct_mod.audit_out_degree)(d)
-        return out
-
-    monkeypatch.setattr(construct_mod, "_owner_bridges", owner_step)
+    monkeypatch.setattr(
+        construct_mod, "audit_out_degree",
+        spy("out_degree", construct_mod.audit_out_degree),
+    )
 
     eligible, high = small_corpus
     built = 0

@@ -140,6 +140,12 @@ class TestCriticalColouring:
         with pytest.raises(PremiseError, match="palette"):
             critical_colouring(complete(3), 3, all_free(2, 3))
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_regions_must_list_one_triple_per_vertex(self, n):
+        g = Multigraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(PremiseError, match=f"regions list {n} triples for 3 vertices"):
+            critical_colouring(g, 2, all_free(2, n))
+
     def test_edgeless_graph_marks_everything(self):
         g = Multigraph(3, [])
         reg = all_free(2, 3)
@@ -349,6 +355,13 @@ class TestCycleRepair:
 
 
 class TestValidateDecorated:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_rejects_regions_of_the_wrong_length(self, n):
+        g = Multigraph(3, [(0, 1), (1, 2)])
+        dec = critical_colouring(g, 2, all_free(2, 3))
+        report = validate_decorated(g, all_free(2, n), dec)
+        assert report.failures == [f"regions list {n} triples for 3 vertices"]
+
     def test_rejects_even_monochromatic_cycle(self):
         g = cycle(4)
         dec = DecoratedColouring({}, {}, {e: 0 for e in range(4)}, {})

@@ -20,14 +20,9 @@ import random
 
 import kchi.construct
 from kchi.colouring import cycle_matching_colouring
-from kchi.construct import (
-    build_bridge_digraph,
-    construct_immersion,
-    decorated_regions,
-    restrict_out_degree,
-)
-from kchi.decorated import DecoratedColouring, critical_colouring
+from kchi.construct import construct_immersion
 from kchi.generators import emit_certificate, gen_alpha2, gen_multigraph, parse_certificate
+from kchi.graphs import iter_bits
 from kchi.immersion import chi_alpha2, verify_immersion
 
 from helpers import written_out
@@ -83,40 +78,33 @@ def bridge_stages_digest() -> str:
     """sha256 over each owner's bridge stages while constructing 200 seeded
     ``gen_alpha2`` graphs (n ≤ 60) and ``gen_alpha2(601, 0.8, 912151271)``:
     the restricted bridge digraph and the decorated colouring of its conflict
-    graph, rebuilt at each call of the per-owner step.  The digest was
-    recorded when every owner handed both to ``assign_bridges``.
+    graph, as each owner hands both to ``assign_bridges``.
     """
     h = hashlib.sha256()
-    original = kchi.construct._owner_bridges
+    original = kchi.construct.assign_bridges
 
-    def spy(g, col, v, corners):
-        d = restrict_out_degree(build_bridge_digraph(g, col, v, corners))
-        if d.contended:
-            regions = decorated_regions(d)
-            dec = critical_colouring(d.conflict, len(d.y_corners), regions)
-        else:
-            dec = DecoratedColouring.edgeless(len(d.x_nodes), len(d.y_corners))
+    def spy(d, dec):
         h.update(json.dumps([
             d.x_nodes,
             d.arcs,
-            [sorted(s) for s in d.bridged],
-            [sorted(s) for s in d.droppable],
-            [sorted(s) for s in d.settled],
+            [list(iter_bits(mask)) for mask in d.bridged],
+            [list(iter_bits(mask)) for mask in d.droppable],
+            [list(iter_bits(mask)) for mask in d.settled],
             sorted(dec.reserved.items()),
             sorted(dec.relief.items()),
             sorted(dec.colour_of.items()),
             sorted((c, sorted(xs)) for c, xs in dec.uncovered_at.items()),
         ]).encode() + b"\n")
-        return original(g, col, v, corners)
+        return original(d, dec)
 
     rng = random.Random(20260)
     specs = [(1 + i % 60, rng.random(), rng.randrange(2**32)) for i in range(200)]
-    kchi.construct._owner_bridges = spy
+    kchi.construct.assign_bridges = spy
     try:
         for n, density, seed in specs + [(601, 0.8, 912151271)]:
             construct_immersion(gen_alpha2(n, density, seed))
     finally:
-        kchi.construct._owner_bridges = original
+        kchi.construct.assign_bridges = original
     return h.hexdigest()
 
 
